@@ -3,10 +3,10 @@
 //
 // Every bench binary regenerates one of the paper's exhibits on the
 // simulated cluster.  All reported times are *virtual* seconds from the
-// runtime's cost model (see src/ftmpi/cost_model.hpp): the box running this
-// repository has a single core, so modeled time — a deterministic function
-// of message, I/O and compute counts — is what reproduces the paper's
-// 19-304-core sweeps and disk-latency contrasts.
+// runtime's cost model (see src/ftmpi/cost_model.hpp): a workstation with a
+// few cores cannot run hundreds of ranks in parallel, so modeled time — a
+// deterministic function of message, I/O and compute counts — is what
+// reproduces the paper's 19-304-core sweeps and disk-latency contrasts.
 //
 // Workload scaling: the paper runs 2^13 timesteps on full grid size n = 13;
 // the benches default to n = 8 and 2^7 steps so a full sweep finishes in

@@ -22,8 +22,8 @@
 //
 // --json <path> additionally emits the table in google-benchmark JSON
 // format so tools/bench_to_json.py can merge it into BENCH_micro.json.  The
-// per-world rows publish steps_lost_per_failure as a bare counter (exactly
-// when the doorbell lands inside a poll window depends on thread
+// per-world rows publish steps_lost_per_failure as a bare counter (the step
+// at which the continuation side sees the doorbell depends on thread
 // interleaving, so a single world size is too noisy to gate); the
 // BM_StepsLostPerFailure/mean/* rows aggregate all worlds and reps and
 // carry the gate metric items_per_second = 1 / (1 + steps_lost), which

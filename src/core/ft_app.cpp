@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <limits>
 #include <map>
 
 #include "advection/serial_solver.hpp"
@@ -29,6 +28,36 @@ namespace {
 constexpr int kTagGridToRoot = 300;   ///< grid root -> world rank 0 (combination)
 constexpr int kTagRecovered = 400;    ///< world rank 0 -> lost grid root (AC scatter)
 constexpr int kTagPartner = 500;      ///< partner root -> lost grid root (RC)
+
+/// Broadcast the root's recovery plan over `comm`: a header [n,
+/// gcp_feasible], then 4 longs {grid, action, step, partner} per entry.
+/// Collective; *plan is significant at `root` only and holds the agreed
+/// plan everywhere on success.  Returns the first bcast error.
+int bcast_plan(ftr::rec::RecoveryPlan* plan, int root, const ftmpi::Comm& comm) {
+  std::vector<long> body;
+  for (const auto& e : plan->entries) {
+    body.insert(body.end(), {e.grid, static_cast<long>(e.action), e.step, e.partner});
+  }
+  long hdr[2] = {static_cast<long>(plan->entries.size()), plan->gcp_feasible ? 1 : 0};
+  int rc = ftmpi::bcast(hdr, 2, root, comm);
+  if (rc != ftmpi::kSuccess) return rc;
+  body.resize(static_cast<size_t>(std::max<long>(hdr[0], 0)) * 4);
+  if (!body.empty()) {
+    rc = ftmpi::bcast(body.data(), static_cast<int>(body.size()), root, comm);
+    if (rc != ftmpi::kSuccess) return rc;
+  }
+  plan->gcp_feasible = hdr[1] != 0;
+  plan->entries.clear();
+  for (size_t i = 0; i + 3 < body.size(); i += 4) {
+    ftr::rec::PlanEntry e;
+    e.grid = static_cast<int>(body[i]);
+    e.action = static_cast<ftr::rec::RecoveryAction>(body[i + 1]);
+    e.step = body[i + 2];
+    e.partner = static_cast<int>(body[i + 3]);
+    plan->entries.push_back(e);
+  }
+  return ftmpi::kSuccess;
+}
 }  // namespace
 
 struct FtApp::RankState {
@@ -50,10 +79,9 @@ struct FtApp::RankState {
   // whose grid lost a member idles (no solver) until the final combination.
   bool degraded = false;
   DegradedView dview;
-  // Overlapped recovery: argv for background spawns, the in-overlap flag
-  // (gates proactive exits and buddy ticks, whose rank->pid bookkeeping
-  // assumes the full world), and the attempt counter stamped on doorbells.
-  std::vector<std::string> argv;
+  // Overlapped recovery: the in-overlap flag (gates proactive exits and
+  // buddy ticks, whose rank->pid bookkeeping assumes the full world), and
+  // the attempt counter stamped on doorbells.
   bool overlap_active = false;
   std::uint64_t overlap_epoch = 0;
   std::set<int> failed_union;  // original ranks failed so far, all repairs
@@ -85,12 +113,6 @@ FtApp::FtApp(AppConfig cfg) : cfg_(std::move(cfg)), layout_(build_layout(cfg_.la
     const std::string v(e);
     if (v == "planner") {
       cfg_.recovery = RecoveryPolicy::Planner;
-    } else if (v == "cr") {
-      cfg_.recovery = RecoveryPolicy::Cr;
-    } else if (v == "rc") {
-      cfg_.recovery = RecoveryPolicy::Rc;
-    } else if (v == "ac") {
-      cfg_.recovery = RecoveryPolicy::Ac;
     } else if (v == "technique") {
       cfg_.recovery = RecoveryPolicy::Technique;
     } else if (v == "overlap") {
@@ -100,9 +122,6 @@ FtApp::FtApp(AppConfig cfg) : cfg_(std::move(cfg)), layout_(build_layout(cfg_.la
     }
   }
   if (const char* e = std::getenv("FTR_BUDDY_EVERY")) cfg_.buddy_every = std::atol(e);
-  if (const char* e = std::getenv("FTR_DOORBELL_POLL")) {
-    cfg_.doorbell_poll = std::max<long>(std::atol(e), 1);
-  }
   // Overlapped recovery wants the detector's early exit from the solve loop
   // (a continuation rank stuck in halo exchange on a broken grid comm would
   // otherwise only learn of the failure reactively); FTR_PROACTIVE still has
@@ -123,9 +142,6 @@ FtApp::FtApp(AppConfig cfg) : cfg_(std::move(cfg)), layout_(build_layout(cfg_.la
 ftr::rec::PlannerMode FtApp::planner_mode() const {
   switch (cfg_.recovery) {
     case RecoveryPolicy::Planner: return ftr::rec::PlannerMode::Lattice;
-    case RecoveryPolicy::Cr: return ftr::rec::PlannerMode::ForceCr;
-    case RecoveryPolicy::Rc: return ftr::rec::PlannerMode::ForceRc;
-    case RecoveryPolicy::Ac: return ftr::rec::PlannerMode::ForceAc;
     // Overlap restores through the full lattice at the classic detection
     // points; PlannerMode::Overlap is only used for the restricted plan the
     // background repair computes on the partial world (overlap_repair_world).
@@ -253,7 +269,6 @@ bool FtApp::proactive_failure_pending(RankState& st) {
 
 void FtApp::entry(const std::vector<std::string>& argv) {
   RankState st{Reconstructor{{cfg_.app_name, argv}}};
-  st.argv = argv;
   st.btopo = make_buddy_topology(layout_, ftmpi::runtime().slots_per_host());
   st.dt = ftr::advection::stable_timestep(cfg_.layout.scheme.n, cfg_.problem, cfg_.cfl);
   const bool is_child = !ftmpi::get_parent().is_null();
@@ -419,20 +434,9 @@ bool FtApp::adopt_reconstruction(RankState& st, const ReconstructResult& res) {
   if (st.wrank == 0) {
     ++st.repairs;
     st.recon_attempts += res.attempts;
-    accumulate_timings(st, res.timings);
+    st.recon_sum += res.timings;
   }
   return true;
-}
-
-void FtApp::accumulate_timings(RankState& st, const ReconstructTimings& t) {
-  st.recon_sum.total += t.total;
-  st.recon_sum.failed_list += t.failed_list;
-  st.recon_sum.revoke += t.revoke;
-  st.recon_sum.shrink += t.shrink;
-  st.recon_sum.spawn += t.spawn;
-  st.recon_sum.agree += t.agree;
-  st.recon_sum.merge += t.merge;
-  st.recon_sum.split += t.split;
 }
 
 void FtApp::post_repair(RankState& st, long interval, bool is_child) {
@@ -508,23 +512,13 @@ void FtApp::post_repair(RankState& st, long interval, bool is_child) {
       std::find(lost_ids.begin(), lost_ids.end(), static_cast<long>(st.grid)) ==
           lost_ids.end()) {
     const long target = interval_target(header[0]);
-    // Two ways the group's state can be unusable for plain catch-up
-    // stepping: members at different step counts (halo generations no
-    // longer pair), or a member whose last step was torn mid-sweep by the
-    // revoke (steps_done alone cannot see that).  Either condition is
-    // group-fatal, so it is agreed by reduction.
-    int mine[2] = {static_cast<int>(st.solver->steps_done()),
-                   st.solver->torn() ? 1 : 0};
-    int lo = mine[0], hi_torn[2] = {mine[0], mine[1]};
-    int arc = ftmpi::allreduce(&mine[0], &lo, 1, ftmpi::ReduceOp::Min, st.gcomm);
-    if (arc == kSuccess) {
-      arc = ftmpi::allreduce(mine, hi_torn, 2, ftmpi::ReduceOp::Max, st.gcomm);
-    }
-    if (arc != kSuccess) {
+    long lo = 0;
+    bool uniform = false;
+    if (group_steps(st, &lo, &uniform) != kSuccess) {
       // A fresh failure during catch-up: tolerated, the next detection
       // point replans (same idiom as the restoration paths below).
       ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.proactive.revoke");
-    } else if (lo != hi_torn[0] || hi_torn[1] != 0) {
+    } else if (!uniform) {
       // The group rolls back to its most recent group-consistent snapshot
       // (or the initial condition) and recomputes, exactly like a failed
       // grid.
@@ -681,21 +675,39 @@ void FtApp::buddy_restore_one(RankState& st, int grid, long step, long target) {
                                    st.world, &stat);
   std::optional<ftr::rec::ReplicaMessage> msg;
   if (rc == kSuccess) msg = ftr::rec::unpack_replica(buf.data(), static_cast<size_t>(stat.count));
-  if (!msg.has_value() || msg->step != step || msg->data.size() != cells) {
-    // Dead holder, corrupt replica, or vanished generation: this grid cannot
-    // come back through the buddy rung.  Revoke so group mates bail out of
-    // the restore; the next detection point repairs and replans.
-    FTR_WARN("ft_app: buddy fetch for grid %d failed on rank %d (%s)", grid, st.wrank,
+  if (!restore_replica(st, msg, step, target)) {
+    // Dead holder, corrupt replica, vanished generation or a failure during
+    // the recompute: this grid cannot come back through the buddy rung.
+    // Revoke so group mates bail out of the restore; the next detection
+    // point repairs and replans.
+    FTR_WARN("ft_app: buddy restore of grid %d failed on rank %d (%s)", grid, st.wrank,
              ftmpi::error_string(rc));
     ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.buddy.revoke");
-    return;
   }
+}
+
+bool FtApp::restore_replica(RankState& st, const std::optional<ftr::rec::ReplicaMessage>& msg,
+                            long step, long target) {
+  const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
+  if (!msg.has_value() || msg->step != step || msg->data.size() != cells) return false;
   unpack_interior(msg->data, st.solver->field());
   st.solver->set_steps_done(step);
-  if (solve_to(st, target) != kSuccess) {
-    FTR_WARN("ft_app: failure during buddy recompute (rank %d)", st.wrank);
-    ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.buddy.revoke");
-  }
+  return solve_to(st, target) == kSuccess;
+}
+
+int FtApp::group_steps(RankState& st, long* lo, bool* uniform) {
+  // Two ways the group's state can be unusable for plain catch-up
+  // stepping: members at different step counts (halo generations no
+  // longer pair), or a member whose last step was torn mid-sweep by the
+  // revoke (steps_done alone cannot see that).  Either condition is
+  // group-fatal, so it is agreed by reduction.
+  int mine[2] = {static_cast<int>(st.solver->steps_done()), st.solver->torn() ? 1 : 0};
+  int low = mine[0], hi_torn[2] = {mine[0], mine[1]};
+  int rc = ftmpi::allreduce(&mine[0], &low, 1, ftmpi::ReduceOp::Min, st.gcomm);
+  if (rc == kSuccess) rc = ftmpi::allreduce(mine, hi_torn, 2, ftmpi::ReduceOp::Max, st.gcomm);
+  *lo = low;
+  *uniform = low == hi_torn[0] && hi_torn[1] == 0;
+  return rc;
 }
 
 void FtApp::buddy_tick(RankState& st) {
@@ -782,91 +794,52 @@ ftr::rec::RecoveryPlan FtApp::negotiate_plan(RankState& st, const std::vector<in
   std::vector<std::vector<long>> parts;
   const int grc = ftmpi::gatherv(mine, &parts, 0, st.world);
 
-  // 2. World rank 0 derives the facts and plans over the full lattice.
-  std::vector<long> wire;  // [n, gcp_feasible, then 4 longs per entry]
+  // 2. World rank 0 plans over the full lattice; 3. broadcast the agreed
+  //    plan.  A failure mid-negotiation yields an empty plan; the next
+  //    detection point repairs and replans.
+  ftr::rec::RecoveryPlan plan;
   if (st.wrank == 0) {
-    std::map<std::pair<int, int>, ftr::rec::BuddyStore::Holding> held;
+    GenerationMap gens;
     if (grc == kSuccess) {
       for (const auto& p : parts) {
         for (size_t i = 0; i + 3 < p.size(); i += 4) {
-          held[{static_cast<int>(p[i]), static_cast<int>(p[i + 1])}] =
-              ftr::rec::BuddyStore::Holding{p[i + 2], p[i + 3]};
+          auto& held = gens[{static_cast<int>(p[i]), static_cast<int>(p[i + 1])}];
+          for (const long s : {p[i + 2], p[i + 3]}) {
+            if (s > 0) held.insert(s);
+          }
         }
       }
     }
-    std::vector<ftr::rec::GridFacts> facts;
-    for (int g : lost) {
-      ftr::rec::GridFacts f;
-      f.id = g;
-      f.group_complete = !st.degraded || !st.dview.grid_lost(g);
-      if (buddies && f.group_complete) {
-        // The buddy rung is on iff every member's block is held at a common
-        // generation: the minimum of the newest steps, which the
-        // two-generation store still has everywhere when ticks interleave.
-        const int nprocs = st.btopo.procs_per_grid[static_cast<size_t>(g)];
-        long common = std::numeric_limits<long>::max();
-        bool all = nprocs > 0;
-        for (int gr = 0; gr < nprocs && all; ++gr) {
-          const auto it = held.find({g, gr});
-          if (it == held.end()) {
-            all = false;
-          } else {
-            common = std::min(common, it->second.newest);
-          }
-        }
-        if (all && common > 0) {
-          for (int gr = 0; gr < nprocs && all; ++gr) {
-            const auto& h = held[{g, gr}];
-            if (h.newest != common && h.prev != common) all = false;
-          }
-        } else {
-          all = false;
-        }
-        if (all) {
-          f.buddy_available = true;
-          f.buddy_step = common;
-        }
-      }
-      facts.push_back(f);
-    }
-    const auto planned = ftr::rec::plan_recovery(
-        layout_.slots, cfg_.layout.scheme, gcp_depth(), ftr::rec::PlannerMode::Lattice, facts,
-        std::vector<int>(st.unrestored.begin(), st.unrestored.end()));
-    wire.push_back(static_cast<long>(planned.entries.size()));
-    wire.push_back(planned.gcp_feasible ? 1 : 0);
-    for (const auto& e : planned.entries) {
-      wire.push_back(e.grid);
-      wire.push_back(static_cast<long>(e.action));
-      wire.push_back(e.step);
-      wire.push_back(e.partner);
-    }
+    plan = plan_lost_grids(st, lost, gens, ftr::rec::PlannerMode::Lattice);
   }
-
-  // 3. Broadcast the agreed plan.  A failure mid-negotiation yields an
-  //    empty plan; the next detection point repairs and replans.
-  long hdr[2] = {0, 1};
-  if (st.wrank == 0 && wire.size() >= 2) {
-    hdr[0] = wire[0];
-    hdr[1] = wire[1];
-  }
-  ftr::rec::RecoveryPlan plan;
-  if (ftmpi::bcast(hdr, 2, 0, st.world) != kSuccess) return plan;
-  std::vector<long> body(static_cast<size_t>(std::max<long>(hdr[0], 0)) * 4);
-  if (st.wrank == 0 && !body.empty()) body.assign(wire.begin() + 2, wire.end());
-  if (!body.empty() &&
-      ftmpi::bcast(body.data(), static_cast<int>(body.size()), 0, st.world) != kSuccess) {
-    return plan;
-  }
-  plan.gcp_feasible = hdr[1] != 0;
-  for (size_t i = 0; i + 3 < body.size(); i += 4) {
-    ftr::rec::PlanEntry e;
-    e.grid = static_cast<int>(body[i]);
-    e.action = static_cast<ftr::rec::RecoveryAction>(body[i + 1]);
-    e.step = body[i + 2];
-    e.partner = static_cast<int>(body[i + 3]);
-    plan.entries.push_back(e);
-  }
+  if (bcast_plan(&plan, 0, st.world) != kSuccess) return {};
   return plan;
+}
+
+ftr::rec::RecoveryPlan FtApp::plan_lost_grids(const RankState& st, const std::vector<int>& lost,
+                                              const GenerationMap& gens,
+                                              ftr::rec::PlannerMode mode) const {
+  std::vector<ftr::rec::GridFacts> facts;
+  for (int g : lost) {
+    ftr::rec::GridFacts f;
+    f.id = g;
+    f.group_complete = !st.degraded || !st.dview.grid_lost(g);
+    if (f.group_complete) {
+      // The buddy rung is on iff every member's block is held at a common
+      // generation; the newest such generation is restored.
+      std::vector<std::set<long>> held(
+          static_cast<size_t>(st.btopo.procs_per_grid[static_cast<size_t>(g)]));
+      for (size_t gr = 0; gr < held.size(); ++gr) {
+        const auto it = gens.find({g, static_cast<int>(gr)});
+        if (it != gens.end()) held[gr] = it->second;
+      }
+      f.buddy_step = ftr::rec::newest_common_generation(held);
+      f.buddy_available = f.buddy_step > 0;
+    }
+    facts.push_back(f);
+  }
+  return ftr::rec::plan_recovery(layout_.slots, cfg_.layout.scheme, gcp_depth(), mode, facts,
+                                 std::vector<int>(st.unrestored.begin(), st.unrestored.end()));
 }
 
 void FtApp::execute_plan(RankState& st, const ftr::rec::RecoveryPlan& plan, long target,
@@ -1064,61 +1037,52 @@ bool FtApp::overlap_continuation(RankState& st, long interval,
                                  const ftmpi::Comm& ccomm, std::uint64_t epoch) {
   const long target = interval_target(interval);
   // Rebuild this grid's communicator inside the continuation world: the old
-  // one was revoked to flush group mates out of the solve loop.
+  // one was revoked to flush group mates out of the solve loop.  Every exit
+  // from here on meets at the closing agreement below, so a rank that fails
+  // early only marks the attempt aborted.
   Comm gc;
-  const int split_rc = ftmpi::comm_split(ccomm, st.grid, st.wrank, &gc);
-  if (split_rc != kSuccess || !st.solver) {
-    return overlap_abort_continuation(st, ccomm, bridge);
-  }
-  st.gcomm = gc;
-  st.solver->set_comm(st.gcomm);
-  st.solver->set_repair_pending(true);
+  bool aborted = ftmpi::comm_split(ccomm, st.grid, st.wrank, &gc) != kSuccess || !st.solver;
+  if (!aborted) {
+    st.gcomm = gc;
+    st.solver->set_comm(st.gcomm);
+    st.solver->set_repair_pending(true);
 
-  // Re-establish the group invariant before stepping on: the exits from the
-  // solve loop were staggered (proactive exits land when gossip does), so
-  // members may disagree on steps_done, and a revoke can have torn a step
-  // mid-sweep.  Same repair as the classic path's post-repair catch-up.
-  int mine[2] = {static_cast<int>(st.solver->steps_done()), st.solver->torn() ? 1 : 0};
-  int lo = mine[0], hi[2] = {mine[0], mine[1]};
-  int arc = ftmpi::allreduce(&mine[0], &lo, 1, ftmpi::ReduceOp::Min, st.gcomm);
-  if (arc == kSuccess) arc = ftmpi::allreduce(mine, hi, 2, ftmpi::ReduceOp::Max, st.gcomm);
-  if (arc != kSuccess) {
-    return overlap_abort_continuation(st, ccomm, bridge);
-  }
-  if (lo != hi[0] || hi[1] != 0) {
-    cr_restore(st, std::vector<int>{st.grid}, std::max<long>(lo, 0));
-    if (st.gcomm.is_revoked()) {
-      return overlap_abort_continuation(st, ccomm, bridge);
+    // Re-establish the group invariant before stepping on: the exits from
+    // the solve loop were staggered (proactive exits land when gossip
+    // does), so members may disagree on steps_done, and a revoke can have
+    // torn a step mid-sweep.  Same repair as the classic path's post-repair
+    // catch-up.
+    long lo = 0;
+    bool uniform = false;
+    aborted = group_steps(st, &lo, &uniform) != kSuccess;
+    if (!aborted && !uniform) {
+      cr_restore(st, std::vector<int>{st.grid}, std::max<long>(lo, 0));
+      aborted = st.gcomm.is_revoked();
     }
   }
 
   // The overlapped solve: keep stepping toward the interval target, poll
-  // the doorbell every `doorbell_poll` steps, and agree on the verdict over
-  // the continuation world so everyone takes the handoff (or the abort)
-  // together.  Once the target is reached the side idles in small virtual
-  // ticks; a bounded idle budget turns a silent repair (e.g. every repair
-  // survivor died before ringing or revoking) into an abort.
+  // the doorbell after every step, and reduce the verdict over the
+  // continuation world.  Once the target is reached the side idles in small
+  // virtual ticks; a bounded idle budget turns a silent repair (e.g. every
+  // repair survivor died before ringing or revoking) into an abort.
   const std::uint64_t armed = ftmpi::detector_enabled() ? 1 : 0;
-  const long poll_every = std::max<long>(cfg_.doorbell_poll, 1);
   constexpr double kIdleTick = 50e-6;
   constexpr double kIdleBudget = 30.0;
   long stepped = 0;
-  bool aborted = false;
   int verdict = overlap::kVerdictNone;
   double idle_since = -1.0;
   const double t0 = ftmpi::wtime();
   while (!aborted && verdict == overlap::kVerdictNone) {
-    for (long k = 0; k < poll_every; ++k) {
-      if (st.solver->steps_done() < target) {
-        maybe_self_kill(st, st.solver->steps_done());
-        if (st.solver->step() != kSuccess) {
-          aborted = true;  // a failure on the continuation side itself
-          break;
-        }
-        ++stepped;
+    if (st.solver->steps_done() < target) {
+      maybe_self_kill(st, st.solver->steps_done());
+      if (st.solver->step() != kSuccess) {
+        aborted = true;  // a failure on the continuation side itself
       } else {
-        ftmpi::advance(kIdleTick);
+        ++stepped;
       }
+    } else {
+      ftmpi::advance(kIdleTick);
     }
     int v = aborted ? overlap::kVerdictAbort : overlap::kVerdictNone;
     if (!aborted && ccomm.rank() == 0 &&
@@ -1144,9 +1108,21 @@ bool FtApp::overlap_continuation(RankState& st, long interval,
   }
   st.solve_time += ftmpi::wtime() - t0;
 
-  if (aborted || verdict != overlap::kVerdictReady) {
-    return overlap_abort_continuation(st, ccomm, bridge);
+  // The allreduce is not an agreement: a death racing it can hand READY to
+  // some ranks and an error to others, and a rank that entered the handoff
+  // alone would wait there forever for mates already back on the classic
+  // path.  A rank that failed revokes the side (flushing mates still
+  // stepping or reducing), then one comm_agree — uniform among survivors —
+  // decides the handoff or the abort for everyone.
+  if (aborted) {
+    ftr::observe_error(ftmpi::comm_revoke(ccomm), "ft_app.overlap.abort");
+    if (!st.gcomm.is_null()) {
+      ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.overlap.abort");
+    }
   }
+  int go = (!aborted && verdict == overlap::kVerdictReady) ? 1 : 0;
+  ftr::observe_error(ftmpi::comm_agree(ccomm, &go), "ft_app.overlap.verdict");
+  if (go != 1) return overlap_abort_continuation(st, ccomm, bridge);
   ftmpi::runtime().add(keys::kOverlapSteps, static_cast<double>(stepped));
   Comm nworld;
   const int hrc = overlap::handoff(ccomm, /*local_leader=*/0, /*continuation_side=*/true,
@@ -1201,50 +1177,15 @@ bool FtApp::overlap_abort_repair(RankState& st, const ftmpi::Comm& bridge,
 bool FtApp::overlap_repair(RankState& st, long interval, const overlap::Classification& cls,
                            const ftmpi::Comm& bridge, const ftmpi::Comm& rcomm,
                            std::uint64_t epoch, std::vector<overlap::StagedReplica> staged) {
-  // Spawn the replacements on the failed ranks' hosts, exactly like the
-  // classic repair, but over the repair group only — the continuation side
-  // is already stepping while this runs.
-  const int slots = ftmpi::runtime().slots_per_host();
-  std::vector<ftmpi::SpawnUnit> units;
-  for (int r : cls.failed) {
-    ftmpi::SpawnUnit u;
-    u.command = cfg_.app_name;
-    u.argv = st.argv;
-    u.maxprocs = 1;
-    u.host = r / slots;
-    units.push_back(std::move(u));
-  }
-  Comm inter;
-  if (ftmpi::comm_spawn_multiple(units, 0, rcomm, &inter) != kSuccess) {
-    return overlap_abort_repair(st, bridge, rcomm, cls, epoch, "spawn");
-  }
-  // Child protocol lockstep (reconstruct()'s child path): agree validates
-  // the spawn, merge orders parents first, merged rank 0 ships the old
-  // ranks, the ordered split builds the partial repaired world.
-  int flag = 1;
-  if (ftmpi::comm_agree(inter, &flag) != kSuccess) {
-    ftr::observe_error(ftmpi::comm_free(&inter), "ft_app.overlap.free");
-    return overlap_abort_repair(st, bridge, rcomm, cls, epoch, "spawn_agree");
-  }
-  Comm merged;
-  const int mrc = ftmpi::intercomm_merge(inter, /*high=*/false, &merged);
-  ftr::observe_error(ftmpi::comm_free(&inter), "ft_app.overlap.free");
-  if (mrc != kSuccess) {
-    return overlap_abort_repair(st, bridge, rcomm, cls, epoch, "merge");
-  }
-  if (merged.rank() == 0) {
-    for (size_t i = 0; i < cls.failed.size(); ++i) {
-      // A dead child surfaces at the split below; tolerated here.
-      ftr::observe_error(ftmpi::send(&cls.failed[i], 1,
-                                     rcomm.size() + static_cast<int>(i), kMergeTag, merged),
-                         "ft_app.overlap.oldrank");
-    }
-  }
+  // The classic respawn (spawn on the failed ranks' hosts -> agree -> merge
+  // -> ship old ranks -> ordered split), over the repair group only — the
+  // continuation side is already stepping while this runs.  Its timings
+  // stay out of the classic recon.* keys.
+  ReconstructTimings unused;
   Comm rworld;
-  const int src = ftmpi::comm_split(merged, 0, st.wrank, &rworld);
-  ftr::observe_error(ftmpi::comm_free(&merged), "ft_app.overlap.free");
-  if (src != kSuccess) {
-    return overlap_abort_repair(st, bridge, rcomm, cls, epoch, "split");
+  const int rrc = st.recon.respawn(rcomm, cls.failed, st.wrank, unused, &rworld);
+  if (rrc != kSuccess) {
+    return overlap_abort_repair(st, bridge, rcomm, cls, epoch, "respawn");
   }
 
   // Verify the partial world in lockstep with the children's reconstruct()
@@ -1337,82 +1278,18 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
   st.solver->set_repair_pending(true);
 
   // The leader plans the restoration from the staged manifests (the only
-  // buddy knowledge that crossed the split) and broadcasts it with the
-  // classic wire idiom; the lattice is restricted to Buddy -> Disk because
+  // buddy knowledge that crossed the split) and broadcasts it like the
+  // classic negotiation does; the lattice is restricted to Buddy -> Disk because
   // the RC partners live on the unreachable continuation side.
-  const std::vector<int> affected = layout_.grids_of_ranks(view.member_olds);
-  std::vector<long> wire;  // [n, gcp_feasible, then 4 longs per entry]
-  if (rworld.rank() == view.leader_rworld) {
-    std::map<std::pair<int, int>, std::set<long>> gens;
-    for (const auto& r : staged) gens[{r.grid, r.grank}].insert(r.step);
-    std::vector<ftr::rec::GridFacts> facts;
-    for (int g : affected) {
-      ftr::rec::GridFacts f;
-      f.id = g;
-      f.group_complete = true;
-      const int nprocs = st.btopo.procs_per_grid[static_cast<size_t>(g)];
-      std::set<long> common;
-      bool first = true;
-      for (int gr = 0; gr < nprocs; ++gr) {
-        const auto it = gens.find({g, gr});
-        if (it == gens.end()) {
-          common.clear();
-          break;
-        }
-        if (first) {
-          common = it->second;
-          first = false;
-        } else {
-          std::set<long> keep;
-          std::set_intersection(common.begin(), common.end(), it->second.begin(),
-                                it->second.end(), std::inserter(keep, keep.begin()));
-          common = std::move(keep);
-        }
-      }
-      if (!common.empty()) {
-        f.buddy_available = true;
-        f.buddy_step = *common.rbegin();  // newest generation every member has
-      }
-      facts.push_back(f);
-    }
-    const auto planned = ftr::rec::plan_recovery(
-        layout_.slots, cfg_.layout.scheme, gcp_depth(), ftr::rec::PlannerMode::Overlap, facts,
-        std::vector<int>(st.unrestored.begin(), st.unrestored.end()));
-    wire.push_back(static_cast<long>(planned.entries.size()));
-    wire.push_back(planned.gcp_feasible ? 1 : 0);
-    for (const auto& e : planned.entries) {
-      wire.push_back(e.grid);
-      wire.push_back(static_cast<long>(e.action));
-      wire.push_back(e.step);
-      wire.push_back(e.partner);
-    }
-  }
-  long hdr[2] = {0, 1};
-  if (rworld.rank() == view.leader_rworld && wire.size() >= 2) {
-    hdr[0] = wire[0];
-    hdr[1] = wire[1];
-  }
-  if (ftmpi::bcast(hdr, 2, view.leader_rworld, rworld) != kSuccess) {
-    return overlap_abort_restore(st, rworld, "plan_hdr");
-  }
-  std::vector<long> body(static_cast<size_t>(std::max<long>(hdr[0], 0)) * 4);
-  if (rworld.rank() == view.leader_rworld && !body.empty()) {
-    body.assign(wire.begin() + 2, wire.end());
-  }
-  if (!body.empty() &&
-      ftmpi::bcast(body.data(), static_cast<int>(body.size()), view.leader_rworld, rworld) !=
-          kSuccess) {
-    return overlap_abort_restore(st, rworld, "plan_body");
-  }
   ftr::rec::RecoveryPlan plan;
-  plan.gcp_feasible = hdr[1] != 0;
-  for (size_t i = 0; i + 3 < body.size(); i += 4) {
-    ftr::rec::PlanEntry e;
-    e.grid = static_cast<int>(body[i]);
-    e.action = static_cast<ftr::rec::RecoveryAction>(body[i + 1]);
-    e.step = body[i + 2];
-    e.partner = static_cast<int>(body[i + 3]);
-    plan.entries.push_back(e);
+  if (rworld.rank() == view.leader_rworld) {
+    GenerationMap gens;
+    for (const auto& r : staged) gens[{r.grid, r.grank}].insert(r.step);
+    plan = plan_lost_grids(st, layout_.grids_of_ranks(view.member_olds), gens,
+                           ftr::rec::PlannerMode::Overlap);
+  }
+  if (bcast_plan(&plan, view.leader_rworld, rworld) != kSuccess) {
+    return overlap_abort_restore(st, rworld, "plan");
   }
 
   // The leader pre-ships every Buddy replica with eager sends before anyone
@@ -1474,14 +1351,8 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
           msg = ftr::rec::unpack_replica(buf.data(), static_cast<size_t>(stat.count));
         }
       }
-      const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
-      if (!msg.has_value() || msg->step != e.step || msg->data.size() != cells) {
+      if (!restore_replica(st, msg, e.step, view.target)) {
         return overlap_abort_restore(st, rworld, "buddy_restore");
-      }
-      unpack_interior(msg->data, st.solver->field());
-      st.solver->set_steps_done(msg->step);
-      if (solve_to(st, view.target) != kSuccess) {
-        return overlap_abort_restore(st, rworld, "recompute");
       }
     } else {  // Disk (RC rungs are gated off in PlannerMode::Overlap)
       cr_restore(st, std::vector<int>{st.grid}, view.target);

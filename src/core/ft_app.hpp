@@ -28,8 +28,10 @@
 //
 // Results are published on the Runtime blackboard under the keys below.
 
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -103,12 +105,10 @@ inline constexpr const char* kOverlapSteps = "recon.overlap.steps";
 /// How lost grids are restored after a repair.
 ///   Technique — the paper's behaviour: the layout's technique dictates the
 ///               restoration (CR reads checkpoints, RC copies partners, AC
-///               recombines);
+///               recombines; infeasible patterns degrade to GCP/idle);
 ///   Planner   — the unified preference lattice (RC copy -> RC resample ->
 ///               buddy snapshot -> disk checkpoint -> GCP -> idle), picking
 ///               the cheapest feasible source per lost grid;
-///   Cr/Rc/Ac  — force one technique's restoration regardless of layout
-///               (infeasible patterns degrade to GCP/idle, never crash).
 ///   Overlap   — non-blocking overlapped recovery: survivors of unaffected
 ///               grids keep time-stepping on a continuation sub-communicator
 ///               while the affected grids' survivors rebuild the world in
@@ -117,9 +117,9 @@ inline constexpr const char* kOverlapSteps = "recon.overlap.steps";
 ///               failure of the overlap falls back to the classic
 ///               stop-the-world reconstruct.  Restoration follows the
 ///               planner lattice.
-/// The FTR_RECOVERY environment variable (planner|cr|rc|ac|technique|
-/// overlap) overrides the configured value at construction time.
-enum class RecoveryPolicy { Technique, Planner, Cr, Rc, Ac, Overlap };
+/// The FTR_RECOVERY environment variable (technique|planner|overlap)
+/// overrides the configured value at construction time.
+enum class RecoveryPolicy { Technique, Planner, Overlap };
 
 struct AppConfig {
   LayoutConfig layout;
@@ -158,9 +158,6 @@ struct AppConfig {
   /// (on|off) overrides; requires the detector (FTR_DETECTOR != off).
   /// Overlapped recovery turns this on unless FTR_PROACTIVE says off.
   bool proactive_recovery = false;
-  /// Overlapped recovery: continuation ranks poll the doorbell every this
-  /// many timesteps (>= 1).  FTR_DOORBELL_POLL overrides.
-  long doorbell_poll = 1;
 };
 
 class FtApp {
@@ -222,6 +219,15 @@ class FtApp {
   /// Gather buddy availability to world rank 0, plan there, broadcast
   /// (Lattice mode only — the Force* plans need no negotiation round).
   ftr::rec::RecoveryPlan negotiate_plan(RankState& st, const std::vector<int>& lost);
+  /// Buddy generations known to be held, per (grid, group rank).
+  using GenerationMap = std::map<std::pair<int, int>, std::set<long>>;
+  /// Plan the restoration of `lost` under `mode`: group completeness from
+  /// the degraded view, the buddy rung at the newest generation every
+  /// member's block is held at (ftr::rec::newest_common_generation).
+  [[nodiscard]] ftr::rec::RecoveryPlan plan_lost_grids(const RankState& st,
+                                                       const std::vector<int>& lost,
+                                                       const GenerationMap& gens,
+                                                       ftr::rec::PlannerMode mode) const;
   void execute_plan(RankState& st, const ftr::rec::RecoveryPlan& plan, long target,
                     bool charge_gcp_coeffs);
 
@@ -230,6 +236,17 @@ class FtApp {
   void cr_restore(RankState& st, const std::vector<int>& lost, long target);
   void rc_restore_one(RankState& st, int lost_id, int partner, long target);
   void buddy_restore_one(RankState& st, int grid, long step, long target);
+  /// Shared tail of both buddy restores: accept the fetched replica only
+  /// as generation `step` of this rank's block, unpack it and recompute to
+  /// `target`.  False on a missing/mismatched replica or a failed
+  /// recompute; the caller decides how to abort.
+  bool restore_replica(RankState& st, const std::optional<ftr::rec::ReplicaMessage>& msg,
+                       long step, long target);
+  /// Collective over st.gcomm: the group's lowest steps_done in *lo and
+  /// whether every member sits at it with no step torn by a revoke (the
+  /// state plain catch-up stepping needs).  Returns the first reduction
+  /// error.
+  FTR_NODISCARD int group_steps(RankState& st, long* lo, bool* uniform);
 
   /// The planner mode the configured policy maps to.
   [[nodiscard]] ftr::rec::PlannerMode planner_mode() const;
@@ -295,7 +312,6 @@ class FtApp {
   bool overlap_adopt(RankState& st, ftmpi::Comm nworld, int leader_old,
                      std::uint64_t epoch);
 
-  static void accumulate_timings(RankState& st, const ReconstructTimings& t);
   void maybe_self_kill(const RankState& st, long step);
   [[nodiscard]] std::vector<double> pack_interior(const ftr::grid::LocalField& f) const;
   void unpack_interior(const std::vector<double>& v, ftr::grid::LocalField& f) const;

@@ -76,9 +76,83 @@ int Reconstructor::select_rank_key(int merged_rank, [[maybe_unused]] int shrunke
   return shrink_merge_list[static_cast<size_t>(merged_rank)];
 }
 
+int Reconstructor::respawn(const ftmpi::Comm& group, const std::vector<int>& failed,
+                           int my_key, ReconstructTimings& t, ftmpi::Comm* out) {
+  const int slots = ftmpi::runtime().slots_per_host();
+  const int total_failed = static_cast<int>(failed.size());
+  // Spawn the replacements on the hosts the failed ranks occupied
+  // (hostfile line = rank / SLOTS), preserving load balance.
+  std::vector<std::string> commands;
+  std::vector<std::vector<std::string>> argvs;
+  std::vector<int> maxprocs;
+  std::vector<MPI_Info> infos;
+  for (int i = 0; i < total_failed; ++i) {
+    commands.push_back(cfg_.app_name);
+    argvs.push_back(cfg_.argv);
+    maxprocs.push_back(1);
+    MPI_Info info;
+    MPI_Info_create(&info);
+    MPI_Info_set_host(&info, failed[static_cast<size_t>(i)] / slots);
+    infos.push_back(info);
+  }
+  double t0 = MPI_Wtime();
+  MPI_Comm temp_intercomm;
+  int rc = MPI_Comm_spawn_multiple(total_failed, commands, argvs, maxprocs, infos, 0, group,
+                                   &temp_intercomm, MPI_ERRCODES_IGNORE);
+  t.spawn += MPI_Wtime() - t0;
+  for (MPI_Info& info : infos) MPI_Info_free(&info);
+  if (rc != MPI_SUCCESS) return rc;
+  CommGuard inter_guard(&temp_intercomm);
+
+  // Synchronize with the children over the intercommunicator (parent part).
+  // Note: agree precedes merge on both sides (see header).  The agreement
+  // also *validates* the spawn: if any parent or child died between spawn
+  // and here, every participant observes the same failure and restarts
+  // from revoke (parents) or aborts (children).
+  t0 = MPI_Wtime();
+  int flag = 1;
+  FTR_DEBUG("repair: pid %d spawn done, entering inter agree", ftmpi::self_pid());
+  rc = OMPI_Comm_agree(temp_intercomm, &flag);
+  t.agree += MPI_Wtime() - t0;
+  FTR_DEBUG("repair: pid %d inter agree rc=%d", ftmpi::self_pid(), rc);
+  if (rc != MPI_SUCCESS) return rc;
+
+  t0 = MPI_Wtime();
+  MPI_Comm unorder_intracomm;
+  rc = MPI_Intercomm_merge(temp_intercomm, /*high=*/0, &unorder_intracomm);
+  t.merge += MPI_Wtime() - t0;
+  FTR_DEBUG("repair: pid %d merge rc=%d", ftmpi::self_pid(), rc);
+  if (rc != MPI_SUCCESS) return rc;
+  CommGuard merged_guard(&unorder_intracomm);
+
+  // Rank 0 ships each child its old (failed) rank.  A failed send means the
+  // child just died; do NOT return early — the peers are already headed
+  // into the ordered split, which detects the death uniformly and sends
+  // everyone back to revoke together.
+  int new_rank = 0;
+  MPI_Comm_rank(unorder_intracomm, &new_rank);
+  if (new_rank == 0) {
+    for (int i = 0; i < total_failed; ++i) {
+      const int child = group.size() + i;
+      rc = MPI_Send(&failed[static_cast<size_t>(i)], 1, MPI_INT, child, kMergeTag,
+                    unorder_intracomm);
+      if (rc != MPI_SUCCESS) {
+        FTR_WARN("repair: old-rank send to child %d failed (%s); split will detect it",
+                 child, ftmpi::error_string(rc));
+      }
+    }
+  }
+
+  // Ordered split restores the original rank layout (Fig. 7 keys).
+  t0 = MPI_Wtime();
+  rc = MPI_Comm_split(unorder_intracomm, 0, my_key, out);
+  t.split += MPI_Wtime() - t0;
+  FTR_DEBUG("repair: pid %d ordered split rc=%d", ftmpi::self_pid(), rc);
+  return rc;
+}
+
 int Reconstructor::repair_once(ftmpi::Comm& broken, ReconstructResult& out) {
   // Fig. 5: repairComm, one restartable pass.
-  const int slots = ftmpi::runtime().slots_per_host();
   double t0 = MPI_Wtime();
   // A revoke racing another revoke (or a dead comm) is fine: the pass only
   // needs everyone out of blocking calls, which either outcome achieves.
@@ -97,35 +171,18 @@ int Reconstructor::repair_once(ftmpi::Comm& broken, ReconstructResult& out) {
   const std::vector<int> failed_ranks = failed_procs_list(broken, shrunken);
   out.timings.failed_list += MPI_Wtime() - t0;
   merge_failed_ranks(&out.failed_ranks, failed_ranks);
-  const int total_failed = static_cast<int>(failed_ranks.size());
-  if (total_failed == 0) {
+  if (failed_ranks.empty()) {
     out.comm = shrunken_guard.release();  // nothing to repair (spurious detection)
     return MPI_SUCCESS;
   }
   int total_procs = 0;
   MPI_Comm_size(broken, &total_procs);
 
-  // Spawn the replacements on the hosts the failed ranks occupied
-  // (hostfile line = rank / SLOTS), preserving load balance.
-  std::vector<std::string> commands;
-  std::vector<std::vector<std::string>> argvs;
-  std::vector<int> maxprocs;
-  std::vector<MPI_Info> infos;
-  for (int i = 0; i < total_failed; ++i) {
-    commands.push_back(cfg_.app_name);
-    argvs.push_back(cfg_.argv);
-    maxprocs.push_back(1);
-    MPI_Info info;
-    MPI_Info_create(&info);
-    MPI_Info_set_host(&info, failed_ranks[static_cast<size_t>(i)] / slots);
-    infos.push_back(info);
-  }
-  t0 = MPI_Wtime();
-  MPI_Comm temp_intercomm;
-  rc = MPI_Comm_spawn_multiple(total_failed, commands, argvs, maxprocs, infos, 0, shrunken,
-                               &temp_intercomm, MPI_ERRCODES_IGNORE);
-  out.timings.spawn += MPI_Wtime() - t0;
-  for (MPI_Info& info : infos) MPI_Info_free(&info);
+  // Parents are merged low, in shrunken order, so merged rank == shrunken
+  // rank selects the survivor's original rank as its split key.
+  const int rank_key =
+      select_rank_key(shrunken.rank(), shrunken.size(), failed_ranks, total_procs);
+  rc = respawn(shrunken, failed_ranks, rank_key, out.timings, &out.comm);
   if (rc == MPI_ERR_SPAWN && cfg_.allow_shrink_fallback) {
     // Graceful degradation: the cluster has no room for replacements
     // (kErrSpawn is decided by the spawn root and delivered uniformly), so
@@ -134,65 +191,12 @@ int Reconstructor::repair_once(ftmpi::Comm& broken, ReconstructResult& out) {
     // survivors.
     FTR_WARN("repair: cannot place %d replacements (%s); degrading to shrink-mode recovery "
              "with %d survivors",
-             total_failed, ftmpi::error_string(rc), shrunken.size());
+             static_cast<int>(failed_ranks.size()), ftmpi::error_string(rc), shrunken.size());
     out.mode = RecoveryMode::Degraded;
     out.comm = shrunken_guard.release();
     return MPI_SUCCESS;
   }
   if (rc != MPI_SUCCESS) return rc;
-  CommGuard inter_guard(&temp_intercomm);
-
-  // Synchronize with the children over the intercommunicator (parent part).
-  // Note: agree precedes merge on both sides (see header).  The agreement
-  // also *validates* the spawn: if any parent or child died between spawn
-  // and here, every participant observes the same failure and restarts
-  // from revoke (parents) or aborts (children).
-  t0 = MPI_Wtime();
-  int flag = 1;
-  FTR_DEBUG("repair: pid %d spawn done, entering inter agree", ftmpi::self_pid());
-  rc = OMPI_Comm_agree(temp_intercomm, &flag);
-  out.timings.agree += MPI_Wtime() - t0;
-  FTR_DEBUG("repair: pid %d inter agree rc=%d", ftmpi::self_pid(), rc);
-  if (rc != MPI_SUCCESS) return rc;
-
-  t0 = MPI_Wtime();
-  MPI_Comm unorder_intracomm;
-  rc = MPI_Intercomm_merge(temp_intercomm, /*high=*/0, &unorder_intracomm);
-  out.timings.merge += MPI_Wtime() - t0;
-  FTR_DEBUG("repair: pid %d merge rc=%d", ftmpi::self_pid(), rc);
-  if (rc != MPI_SUCCESS) return rc;
-  CommGuard merged_guard(&unorder_intracomm);
-
-  int shrunken_size = 0;
-  MPI_Comm_size(shrunken, &shrunken_size);
-  int new_rank = 0;
-  MPI_Comm_rank(unorder_intracomm, &new_rank);
-
-  // Rank 0 ships each child its old (failed) rank.  A failed send means the
-  // child just died; do NOT return early — the peers are already headed
-  // into the ordered split, which detects the death uniformly and sends
-  // everyone back to revoke together.
-  if (new_rank == 0) {
-    for (int i = 0; i < total_failed; ++i) {
-      const int child = shrunken_size + i;
-      rc = MPI_Send(&failed_ranks[static_cast<size_t>(i)], 1, MPI_INT, child, kMergeTag,
-                    unorder_intracomm);
-      if (rc != MPI_SUCCESS) {
-        FTR_WARN("repair: old-rank send to child %d failed (%s); split will detect it",
-                 child, ftmpi::error_string(rc));
-      }
-    }
-  }
-
-  // Ordered split restores the original rank layout (Fig. 7 keys).
-  const int rank_key = select_rank_key(new_rank, shrunken_size, failed_ranks, total_procs);
-  t0 = MPI_Wtime();
-  MPI_Comm repaired;
-  rc = MPI_Comm_split(unorder_intracomm, 0, rank_key, &repaired);
-  out.timings.split += MPI_Wtime() - t0;
-  FTR_DEBUG("repair: pid %d ordered split rc=%d", ftmpi::self_pid(), rc);
-  if (rc != MPI_SUCCESS) return rc;
-  out.comm = repaired;
   if (out.mode != RecoveryMode::Degraded) out.mode = RecoveryMode::Repaired;
   return MPI_SUCCESS;
 }

@@ -58,6 +58,18 @@ struct ReconstructTimings {
   double agree = 0;         ///< OMPI_Comm_agree (intercomm), Table I
   double merge = 0;         ///< MPI_Intercomm_merge, Table I
   double split = 0;         ///< ordered MPI_Comm_split
+
+  ReconstructTimings& operator+=(const ReconstructTimings& o) {
+    total += o.total;
+    failed_list += o.failed_list;
+    revoke += o.revoke;
+    shrink += o.shrink;
+    spawn += o.spawn;
+    agree += o.agree;
+    merge += o.merge;
+    split += o.split;
+    return *this;
+  }
 };
 
 /// How a reconstruction concluded.
@@ -129,14 +141,27 @@ class Reconstructor {
   static int select_rank_key(int merged_rank, int shrunken_size,
                              const std::vector<int>& failed_ranks, int total_procs);
 
+  /// Respawn `failed` into `group` (the parent side of Fig. 5 after the
+  /// shrink): spawn one replacement per failed rank on host
+  /// failed[i] / SLOTS -> intercomm agree -> merge (parents low) -> merged
+  /// rank 0 ships child i its old rank failed[i] (kMergeTag) -> ordered
+  /// split keyed by `my_key`.  Collective over `group`; the children run
+  /// reconstruct()'s child path.  Adds each primitive's virtual time to
+  /// `t` and returns the first error code (kErrSpawn when the replacements
+  /// cannot be placed); on success *out is the merged, reordered comm.
+  /// The classic repair calls it on the whole shrunken world, overlapped
+  /// recovery on its repair sub-communicator.
+  FTR_NODISCARD int respawn(const ftmpi::Comm& group, const std::vector<int>& failed,
+                            int my_key, ReconstructTimings& t, ftmpi::Comm* out);
+
  private:
   /// The paper's repairComm (Fig. 5) wrapped in the bounded retry loop:
   /// calls repair_once() until it succeeds (possibly degraded) or
   /// Config::max_repair_attempts is spent, backing off between attempts.
   int repair(ftmpi::Comm& broken, ReconstructResult& out);
-  /// One pass of Fig. 5, restartable: revoke -> shrink -> spawn -> agree ->
-  /// merge -> split.  Intermediate communicators and Info objects are
-  /// released on every exit path.
+  /// One pass of Fig. 5, restartable: revoke -> shrink -> respawn().
+  /// Intermediate communicators and Info objects are released on every
+  /// exit path.
   int repair_once(ftmpi::Comm& broken, ReconstructResult& out);
 
   Config cfg_;

@@ -197,6 +197,17 @@ long BuddyStore::corrupt_detected() const {
   return corrupt_detected_;
 }
 
+long newest_common_generation(const std::vector<std::set<long>>& held) {
+  if (held.empty()) return -1;
+  for (auto s = held.front().rbegin(); s != held.front().rend(); ++s) {
+    if (std::all_of(held.begin() + 1, held.end(),
+                    [&](const std::set<long>& h) { return h.count(*s) != 0; })) {
+      return *s;
+    }
+  }
+  return -1;
+}
+
 // --- replication / drain ----------------------------------------------------
 
 int buddy_send(const BuddyTopology& topo, const ftmpi::Comm& world, int grid, int grank,

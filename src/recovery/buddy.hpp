@@ -26,6 +26,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -149,6 +150,14 @@ class BuddyStore {
   long replicated_bytes_ = 0;
   mutable long corrupt_detected_ = 0;
 };
+
+/// The buddy generation a grid restores from: the newest step every member
+/// holds, i.e. the largest step in the intersection of `held` (one set of
+/// held steps per member).  -1 when some member holds nothing or the sets
+/// share no step.  Equal to the minimum of the members' newest steps when
+/// replication ran every tick; after a lost replication ({8,4} and {12,4})
+/// it is the older generation every member still holds (4).
+[[nodiscard]] long newest_common_generation(const std::vector<std::set<long>>& held);
 
 /// Stream the caller's block to its buddy over `world` (nonblocking eager
 /// send: only the injection overhead is charged to the caller, the wire

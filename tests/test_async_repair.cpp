@@ -4,8 +4,8 @@
 // meeting again at the doorbell handoff.  Covers the happy path (handoff,
 // overlapped steps, exact recovery), the planner-policy pin (overlap
 // machinery fully disengaged), and chaos kills at the overlap protocol
-// boundaries "repair.split", "repair.doorbell" and "repair.handoff"
-// (restart-not-deadlock: the attempt aborts onto the classic fallback and
+// boundaries "repair.split", "repair.doorbell" and "repair.handoff" and
+// inside the background respawn ("spawn", "merge") (restart-not-deadlock: the attempt aborts onto the classic fallback and
 // the run still completes correctly).
 
 #include <gtest/gtest.h>
@@ -228,4 +228,18 @@ TEST(OverlapChaos, KillAtHandoffFallsBackToClassic) {
   // at world rank 0, a protocol assumption that predates overlapped
   // recovery, so the root stays out of chaos scope here.
   chaos_overlap_run("repair.handoff", 1, /*expect_killed=*/3);
+}
+
+TEST(OverlapChaos, KillAtSpawnFallsBackToClassic) {
+  // Victim 6, a survivor of grid 1 on the repair side, dies entering the
+  // background spawn.  The spawn root (rank 4) still launches the
+  // replacement, the intercomm agree fails, the replacement aborts as an
+  // orphan (third death) and the classic fallback repairs the world.
+  chaos_overlap_run("spawn", 6, /*expect_killed=*/3);
+}
+
+TEST(OverlapChaos, KillAtMergeFallsBackToClassic) {
+  // Victim 6 dies entering the background merge, after the agree validated
+  // the spawn: the ordered split detects it, the replacement aborts.
+  chaos_overlap_run("merge", 6, /*expect_killed=*/3);
 }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "core/chaos.hpp"
 #include "core/ft_app.hpp"
 #include "core/layout.hpp"
@@ -308,6 +309,22 @@ TEST(BuddyStore, CorruptNewestFailsCrcAndPrevSurvives) {
   EXPECT_EQ(store.read_at(3, 0, 1, 8).value().data, g8);
 }
 
+TEST(BuddyGeneration, NewestStepEveryMemberHolds) {
+  using ftr::rec::newest_common_generation;
+  // Regular ticks: members hold the same two generations, or one member is
+  // a tick behind — the newest common step either way.
+  EXPECT_EQ(newest_common_generation({{8, 12}, {8, 12}, {8, 12}}), 12);
+  EXPECT_EQ(newest_common_generation({{8, 12}, {4, 8}}), 8);
+  // A member holding nothing (its holder died) switches the rung off, and
+  // so do a grid with no members and sets that share no step.
+  EXPECT_EQ(newest_common_generation({{8, 12}, {}}), -1);
+  EXPECT_EQ(newest_common_generation({}), -1);
+  EXPECT_EQ(newest_common_generation({{12, 16}, {4, 8}}), -1);
+  // A lost replication: the second member missed step 8, so the newest
+  // steps disagree and the generation both still hold is the older one.
+  EXPECT_EQ(newest_common_generation({{4, 8}, {4, 12}}), 4);
+}
+
 TEST(BuddyWire, PackUnpackRoundTripAndRejection) {
   const std::vector<double> data{0.25, -1.0, 9.5};
   auto buf = ftr::rec::pack_replica(2, 1, 12, data);
@@ -341,10 +358,18 @@ TEST(PlannerConfig, EnvOverridesRecoveryPolicyAndInterval) {
     EXPECT_EQ(app.config().recovery, RecoveryPolicy::Planner);
     EXPECT_EQ(app.config().buddy_every, 6);
   }
+  // The forced-technique values are gone: the layout's technique already
+  // selects its restoration, so "ac" is rejected like any unknown value.
   setenv("FTR_RECOVERY", "ac", 1);
   {
+    const ftr::LogLevel saved = ftr::Logger::instance().level();
+    ftr::Logger::instance().set_level(ftr::LogLevel::Warn);
+    testing::internal::CaptureStderr();
     FtApp app(small_app(Technique::CheckpointRestart));
-    EXPECT_EQ(app.config().recovery, RecoveryPolicy::Ac);
+    const std::string log = testing::internal::GetCapturedStderr();
+    ftr::Logger::instance().set_level(saved);
+    EXPECT_EQ(app.config().recovery, RecoveryPolicy::Technique);
+    EXPECT_NE(log.find("unknown FTR_RECOVERY value 'ac'"), std::string::npos) << log;
   }
   setenv("FTR_RECOVERY", "bogus", 1);
   {

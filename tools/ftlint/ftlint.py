@@ -66,9 +66,7 @@ the line directly above it.
 
 Usage:
   ftlint.py --root src                         # lint a tree
-  ftlint.py --root src --compile-commands build/compile_commands.json
   ftlint.py file.cpp other.hpp                 # lint specific files
-  ftlint.py --engine lex|clang|auto ...        # engine selection
   ftlint.py --format github ...                # ::error CI annotations
   ftlint.py --format sarif ...                 # SARIF 2.1.0 (code scanning)
   ftlint.py --report fiber --root src          # fiber-readiness inventory
@@ -149,7 +147,7 @@ def _render_sarif(findings: list["ftlint_lex.Finding"]) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _cache_key(files: list[str], rules: set[str], engine: str) -> str:
+def _cache_key(files: list[str], rules: set[str]) -> str:
     """Content hash of the whole run: engine version + rule set + every
     input file's bytes.  The cache is deliberately whole-run, not per-file:
     FTL003/005/006/008-010 are interprocedural, so one edited file can
@@ -159,7 +157,6 @@ def _cache_key(files: list[str], rules: set[str], engine: str) -> str:
     h = hashlib.sha256()
     h.update(ftlint_lex.ENGINE_VERSION.encode())
     h.update(repr(sorted(rules)).encode())
-    h.update(engine.encode())
     for path in files:
         h.update(path.encode())
         with open(path, "rb") as fh:
@@ -231,7 +228,7 @@ def run_checker(args) -> int:
 
     key = None
     if args.cache:
-        key = _cache_key(files, rules, args.engine)
+        key = _cache_key(files, rules)
         cached = _cache_load(args.cache, key)
         if cached is not None:
             print(f"ftlint: cache hit ({len(files)} files unchanged)",
@@ -240,25 +237,6 @@ def run_checker(args) -> int:
 
     engine = ftlint_lex.Engine(files, jobs=jobs)
     findings = engine.run(rules)
-
-    use_clang = args.engine == "clang"
-    if args.engine == "auto":
-        import ftlint_clang
-        use_clang = ftlint_clang.available()
-    if use_clang:
-        import ftlint_clang
-        if not ftlint_clang.available():
-            print("ftlint: --engine clang requested but clang.cindex/libclang "
-                  "is unavailable", file=sys.stderr)
-            return 2
-        # Cross-check: the clang engine re-derives FTL001/FTL004 from the
-        # AST; anything it finds at a (path, line) the lexer engine already
-        # reported is dropped as a duplicate.
-        known = {(f.path, f.line, f.rule) for f in findings}
-        for f in ftlint_clang.run(files, args.compile_commands):
-            if f.rule in rules and (f.path, f.line, f.rule) not in known:
-                findings.append(f)
-        findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
     if key is not None:
         _cache_store(args.cache, key, findings)
@@ -285,11 +263,6 @@ def main(argv: list[str] | None = None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", action="append", default=[],
                     help="directory tree to lint (repeatable)")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json for the clang engine")
-    ap.add_argument("--engine", choices=("auto", "lex", "clang"), default="auto",
-                    help="auto = lexer engine, plus the libclang cross-check "
-                         "when clang.cindex is importable (default)")
     ap.add_argument("--rules",
                     default="FTL000,FTL001,FTL002,FTL003,FTL004,FTL005,FTL006,"
                             "FTL007,FTL008,FTL009,FTL010,FTL011,FTL012,FTL013",

@@ -5,11 +5,9 @@ docs/ARCHITECTURE.md, "Enforced invariants").  It is a real lexer — comments,
 string/char literals, raw strings and preprocessor directives are handled —
 but deliberately not a parser: the rules are anchored on repo idioms
 (FTR_NODISCARD / FTR_HOT markers, `chaos_point(...)` hooks, `MPI_*_free`
-pairs), which token context identifies reliably without a full AST.  The
-optional clang.cindex engine (ftlint_clang.py) cross-checks FTL001/FTL004 on
-hosts that ship the libclang Python bindings; this engine has no
-dependencies beyond the Python standard library, so it runs everywhere the
-test suite runs.
+pairs), which token context identifies reliably without a full AST.  It has
+no dependencies beyond the Python standard library, so it runs everywhere
+the test suite runs.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ def main():
     # CLI contract: findings => exit 1; clean tree => exit 0.
     cli = os.path.join(HERE, "ftlint.py")
     full = subprocess.run(
-        [sys.executable, cli, "--engine", "lex", "--root", FIXTURES],
+        [sys.executable, cli, "--root", FIXTURES],
         capture_output=True, text=True)
     if full.returncode != 1:
         print(f"FAIL: CLI over full corpus: expected exit 1, got "
@@ -83,7 +83,7 @@ def main():
     good_files = [f for f in files
                   if os.path.basename(f).startswith(("good_", "api_stub"))]
     clean = subprocess.run(
-        [sys.executable, cli, "--engine", "lex", *good_files],
+        [sys.executable, cli, *good_files],
         capture_output=True, text=True)
     if clean.returncode != 0:
         print(f"FAIL: CLI over clean fixtures: expected exit 0, got "
@@ -102,8 +102,7 @@ def main():
                         tempfile.mkdtemp(prefix="ftlint_empty_")], None),
         ("unknown rule", [sys.executable, cli, "--rules", "FTL999",
                           *good_files], None),
-        ("crashed engine", [sys.executable, cli, "--engine", "lex",
-                            "--root", FIXTURES],
+        ("crashed engine", [sys.executable, cli, "--root", FIXTURES],
          {**os.environ, "FTLINT_INJECT_CRASH": "1"}),
     ):
         r = subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -115,7 +114,7 @@ def main():
     # --format=github: every finding becomes a ::error annotation carrying
     # the same (file, line, rule) triple the human format reports.
     gh = subprocess.run(
-        [sys.executable, cli, "--engine", "lex", "--format", "github",
+        [sys.executable, cli, "--format", "github",
          "--root", FIXTURES],
         capture_output=True, text=True)
     gh_re = re.compile(r"^::error file=(.+),line=(\d+),title=(FTL\d{3})::")
@@ -145,7 +144,7 @@ def main():
     # tool.driver.rules table.
     import json
     sa = subprocess.run(
-        [sys.executable, cli, "--engine", "lex", "--format", "sarif",
+        [sys.executable, cli, "--format", "sarif",
          "--root", FIXTURES],
         capture_output=True, text=True)
     sarif_ok = sa.returncode == 1
@@ -183,7 +182,7 @@ def main():
     # unsound, so the key covers every input).
     cachedir = tempfile.mkdtemp(prefix="ftlint_cache_")
     cachefile = os.path.join(cachedir, "cache.json")
-    cargv = [sys.executable, cli, "--engine", "lex", "--cache", cachefile,
+    cargv = [sys.executable, cli, "--cache", cachefile,
              "--root", FIXTURES]
     cold = subprocess.run(cargv, capture_output=True, text=True)
     warm = subprocess.run(cargv, capture_output=True, text=True)
