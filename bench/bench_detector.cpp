@@ -83,7 +83,7 @@ BENCHMARK(BM_DetectionLatency)->Arg(8)->Arg(16)->Arg(32)->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Average virtual cost of one comm_agree over `nprocs` ranks, with the
-/// tree (FTR_AGREE=tree) or the linear coordinator protocol.
+/// tree (Options::tree_protocols) or the linear coordinator protocol.
 double agree_cost_episode(int nprocs, bool tree) {
   ftmpi::Runtime::Options o;
   o.slots_per_host = nprocs;

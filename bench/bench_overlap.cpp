@@ -5,7 +5,7 @@
 // The continuation ranks — every survivor whose grid is unaffected — owe
 // (target - f) timesteps before the next combination point.  Under the
 // classic stop-the-world repair they compute none of them until the repair
-// finishes; under FTR_RECOVERY=overlap they keep stepping on the
+// finishes; under RecoveryPolicy::Overlap they keep stepping on the
 // continuation sub-communicator while the repair group rebuilds the world,
 // and the runtime counts those steps (keys::kOverlapSteps).  Reported per
 // (world size, mode):
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   }
   emit(table, env,
        "Overlapped recovery: timesteps lost per failure (per continuation rank), "
-       "stop-the-world vs FTR_RECOVERY=overlap, one minority-grid failure");
+       "stop-the-world vs overlapped, one minority-grid failure");
   if (!json.empty()) emit_json(json, rows);
   return 0;
 }

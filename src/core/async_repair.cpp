@@ -7,7 +7,6 @@
 #include "common/errors.hpp"
 #include "common/logging.hpp"
 #include "ftmpi/detector.hpp"
-#include "recovery/buddy.hpp"
 
 namespace ftr::core::overlap {
 
@@ -61,7 +60,7 @@ Classification classify(const Layout& layout, const std::vector<int>& survivor_o
   return out;
 }
 
-std::vector<std::byte> pack_manifest(const std::vector<StagedReplica>& reps) {
+std::vector<std::byte> pack_manifest(const std::vector<ftr::rec::ReplicaMessage>& reps) {
   std::vector<std::byte> out(sizeof(long));
   const long n = static_cast<long>(reps.size());
   std::memcpy(out.data(), &n, sizeof(long));
@@ -76,8 +75,8 @@ std::vector<std::byte> pack_manifest(const std::vector<StagedReplica>& reps) {
   return out;
 }
 
-std::vector<StagedReplica> unpack_manifest(const std::byte* bytes, std::size_t n) {
-  std::vector<StagedReplica> out;
+std::vector<ftr::rec::ReplicaMessage> unpack_manifest(const std::byte* bytes, std::size_t n) {
+  std::vector<ftr::rec::ReplicaMessage> out;
   if (bytes == nullptr || n < sizeof(long)) return out;
   long count = 0;
   std::memcpy(&count, bytes, sizeof(long));
@@ -88,15 +87,10 @@ std::vector<StagedReplica> unpack_manifest(const std::byte* bytes, std::size_t n
     std::memcpy(&nbytes, bytes + at, sizeof(long));
     at += sizeof(long);
     if (nbytes < 0 || at + static_cast<size_t>(nbytes) > n) return {};
-    const auto msg = ftr::rec::unpack_replica(bytes + at, static_cast<size_t>(nbytes));
+    auto msg = ftr::rec::unpack_replica(bytes + at, static_cast<size_t>(nbytes));
     at += static_cast<size_t>(nbytes);
     if (!msg.has_value()) continue;  // CRC-corrupt record: skip, keep the rest
-    StagedReplica r;
-    r.grid = msg->grid;
-    r.grank = msg->grank;
-    r.step = msg->step;
-    r.data = msg->data;
-    out.push_back(std::move(r));
+    out.push_back(std::move(*msg));
   }
   return out;
 }

@@ -39,6 +39,7 @@
 #include "common/annotations.hpp"
 #include "core/layout.hpp"
 #include "ftmpi/api.hpp"
+#include "recovery/buddy.hpp"
 
 namespace ftr::core::overlap {
 
@@ -114,22 +115,16 @@ struct Classification {
                                       const std::vector<int>& survivor_old_ranks,
                                       const std::vector<int>& failed_old_ranks);
 
-/// One staged buddy replica (a generation this survivor holds for a member
-/// of an affected grid), shipped to the repair leader during the prefix.
-struct StagedReplica {
-  int grid = -1;
-  int grank = -1;
-  long step = -1;
-  std::vector<double> data;
-};
-
-/// Manifest wire format: [long n] then n records, each [long nbytes] + the
+/// A survivor's manifest stages the buddy replicas (generations it holds for
+/// members of affected grids) to the repair leader during the prefix.
+/// Wire format: [long n] then n records, each [long nbytes] + the
 /// pack_replica() bytes of one generation.  An empty manifest (n = 0) is
 /// valid — every survivor sends exactly one, so the leader never waits on a
-/// message that will not come.
-[[nodiscard]] std::vector<std::byte> pack_manifest(const std::vector<StagedReplica>& reps);
-[[nodiscard]] std::vector<StagedReplica> unpack_manifest(const std::byte* bytes,
-                                                         std::size_t n);
+/// message that will not come.  Unpacking drops CRC-corrupt records.
+[[nodiscard]] std::vector<std::byte> pack_manifest(
+    const std::vector<ftr::rec::ReplicaMessage>& reps);
+[[nodiscard]] std::vector<ftr::rec::ReplicaMessage> unpack_manifest(const std::byte* bytes,
+                                                                    std::size_t n);
 
 /// Ring the doorbell: eager-send `verdict` to `dst` (a shrunken-comm rank)
 /// over the bridge, stamped with this attempt's epoch and the sender's

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
-#include "common/logging.hpp"
 #include "recovery/replication.hpp"
 
 namespace ftr::core {
@@ -67,29 +64,6 @@ FailurePlan random_simulated_losses(const Layout& layout, int count, ftr::Xoshir
     return plan;
   }
   return plan;
-}
-
-ArrivalModel arrival_model_from_env(ArrivalModel fallback) {
-  ArrivalModel m = fallback;
-  if (const char* e = std::getenv("FTR_FAILURE_DIST")) {
-    const std::string v(e);
-    if (v == "exp" || v == "exponential") {
-      m.dist = FailureDist::Exponential;
-    } else if (v == "weibull") {
-      m.dist = FailureDist::Weibull;
-    } else {
-      FTR_WARN("failure_gen: ignoring unknown FTR_FAILURE_DIST value '%s'", v.c_str());
-    }
-  }
-  if (const char* e = std::getenv("FTR_FAILURE_SCALE")) {
-    const double s = std::atof(e);
-    if (s > 0.0) m.scale = s;
-  }
-  if (const char* e = std::getenv("FTR_FAILURE_SHAPE")) {
-    const double k = std::atof(e);
-    if (k > 0.0) m.shape = k;
-  }
-  return m;
 }
 
 double draw_interarrival(const ArrivalModel& m, ftr::Xoshiro256& rng) {

@@ -77,11 +77,6 @@ struct ArrivalModel {
   double shape = 1.0;  ///< weibull shape k (< 1 bursty, 1 = exp, > 1 aging)
 };
 
-/// Environment override: FTR_FAILURE_DIST=exp|weibull selects the family,
-/// FTR_FAILURE_SCALE / FTR_FAILURE_SHAPE the parameters.  `fallback` is
-/// returned (unchanged) when the variables are unset or unparsable.
-[[nodiscard]] ArrivalModel arrival_model_from_env(ArrivalModel fallback);
-
 /// One inter-arrival gap in timesteps (continuous; callers quantize).
 [[nodiscard]] double draw_interarrival(const ArrivalModel& m, ftr::Xoshiro256& rng);
 

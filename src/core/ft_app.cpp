@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <map>
 
 #include "advection/serial_solver.hpp"
@@ -68,9 +67,6 @@ struct FtApp::RankState {
   double dt = 0.0;
   std::unique_ptr<ParallelSolver> solver;
   Reconstructor recon;
-  // Lost grids accumulated over all repairs (known to every rank via the
-  // post-repair broadcast).
-  std::set<int> real_lost_grids;
   std::vector<int> last_failed_ranks;  // survivors: from the last repair
   long bcast_interval = -1;            // interval index from the last post-repair broadcast
   // Shrink-mode degradation: once replacements cannot be placed, the run
@@ -109,34 +105,10 @@ FtApp::FtApp(AppConfig cfg) : cfg_(std::move(cfg)), layout_(build_layout(cfg_.la
                ? std::make_shared<ftr::rec::CheckpointStore>()
                : std::make_shared<ftr::rec::CheckpointStore>(cfg_.checkpoint_dir);
   buddy_ = std::make_shared<ftr::rec::BuddyStore>();
-  if (const char* e = std::getenv("FTR_RECOVERY")) {
-    const std::string v(e);
-    if (v == "planner") {
-      cfg_.recovery = RecoveryPolicy::Planner;
-    } else if (v == "technique") {
-      cfg_.recovery = RecoveryPolicy::Technique;
-    } else if (v == "overlap") {
-      cfg_.recovery = RecoveryPolicy::Overlap;
-    } else if (!v.empty()) {
-      FTR_WARN("ft_app: ignoring unknown FTR_RECOVERY value '%s'", v.c_str());
-    }
-  }
-  if (const char* e = std::getenv("FTR_BUDDY_EVERY")) cfg_.buddy_every = std::atol(e);
   // Overlapped recovery wants the detector's early exit from the solve loop
   // (a continuation rank stuck in halo exchange on a broken grid comm would
-  // otherwise only learn of the failure reactively); FTR_PROACTIVE still has
-  // the last word below.
+  // otherwise only learn of the failure reactively).
   if (cfg_.recovery == RecoveryPolicy::Overlap) cfg_.proactive_recovery = true;
-  if (const char* e = std::getenv("FTR_PROACTIVE")) {
-    const std::string v(e);
-    if (v == "1" || v == "on") {
-      cfg_.proactive_recovery = true;
-    } else if (v == "0" || v == "off") {
-      cfg_.proactive_recovery = false;
-    } else if (!v.empty()) {
-      FTR_WARN("ft_app: ignoring unknown FTR_PROACTIVE value '%s'", v.c_str());
-    }
-  }
 }
 
 ftr::rec::PlannerMode FtApp::planner_mode() const {
@@ -303,27 +275,23 @@ void FtApp::entry(const std::vector<std::string>& argv) {
                                                  cfg_.problem, st.dt, st.gcomm);
   }
 
-  if (cfg_.layout.technique == Technique::CheckpointRestart) {
-    run_checkpoint_restart_from(st, resume_interval);
-  } else {
-    if (is_child) {
-      // End-phase repair already restored what this technique restores
-      // before combination; fall through.
-    } else {
-      run_combination_technique(st);
-    }
-  }
+  run_intervals_from(st, resume_interval);
   recovery_and_combine(st);
 }
 
+long FtApp::checkpoint_count() const {
+  if (cfg_.layout.technique != Technique::CheckpointRestart) return 0;
+  return std::max<long>(cfg_.checkpoints, 0);
+}
+
 long FtApp::interval_target(long interval) const {
-  const long c = std::max<long>(cfg_.checkpoints, 0);
+  const long c = checkpoint_count();
   if (interval >= c) return cfg_.timesteps;
   return cfg_.timesteps * (interval + 1) / (c + 1);
 }
 
-void FtApp::run_checkpoint_restart_from(RankState& st, long start_interval) {
-  const long c = cfg_.checkpoints;
+void FtApp::run_intervals_from(RankState& st, long start_interval) {
+  const long c = checkpoint_count();
   for (long i = start_interval; i <= c; ++i) {
     const long target = interval_target(i);
     FTR_DEBUG("ft_app: rank %d interval %ld target %ld", st.wrank, i, target);
@@ -350,7 +318,8 @@ void FtApp::run_checkpoint_restart_from(RankState& st, long start_interval) {
       continue;
     }
 
-    // Detection is tested before the checkpoint write (paper Sec. III).
+    // Detection is tested before the checkpoint write (paper Sec. III);
+    // for RC/AC this is the single detection point before the combination.
     const auto res = st.recon.reconstruct(st.world);
     if (res.repaired) {
       // Harvest in-flight buddy replicas while the pre-repair world is
@@ -379,35 +348,6 @@ void FtApp::run_checkpoint_restart_from(RankState& st, long start_interval) {
   }
 }
 
-void FtApp::run_combination_technique(RankState& st) {
-  const double t0 = ftmpi::wtime();
-  const int step_rc = solve_to(st, cfg_.timesteps);
-  st.solve_time += ftmpi::wtime() - t0;
-  // Revoke the group communicator on error so blocked group mates also
-  // reach the detection point (see run_checkpoint_restart_from).
-  if (step_rc != kSuccess && !st.gcomm.is_null()) {
-    ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.ct.revoke");
-  }
-
-  // Overlapped recovery before the classic detection point (see
-  // run_checkpoint_restart_from); the handoff leaves every grid at the
-  // final target, so the combination can proceed directly.
-  if (cfg_.recovery == RecoveryPolicy::Overlap &&
-      try_overlap_recovery(st, cfg_.checkpoints, step_rc)) {
-    return;
-  }
-
-  // Single detection point at the end, before the combination (paper).
-  const auto res = st.recon.reconstruct(st.world);
-  if (res.repaired) {
-    // Harvest in-flight buddy replicas while the pre-repair world is still
-    // in hand (see run_checkpoint_restart_from).
-    drain_buddies(st);
-    if (!adopt_reconstruction(st, res)) return;
-    post_repair(st, cfg_.checkpoints /* => target = timesteps */, /*is_child=*/false);
-  }
-}
-
 bool FtApp::adopt_reconstruction(RankState& st, const ReconstructResult& res) {
   if (res.exhausted) {
     FTR_ERROR("ft_app: reconstruction exhausted its budget (rank %d); stopping", st.wrank);
@@ -429,7 +369,6 @@ bool FtApp::adopt_reconstruction(RankState& st, const ReconstructResult& res) {
     // further rather than repairing.
     st.dview = build_degraded_view(
         layout_, std::vector<int>(st.failed_union.begin(), st.failed_union.end()));
-    for (int g : st.dview.lost_grids) st.real_lost_grids.insert(g);
   }
   if (st.wrank == 0) {
     ++st.repairs;
@@ -468,7 +407,6 @@ void FtApp::post_repair(RankState& st, long interval, bool is_child) {
     }
   }
   st.bcast_interval = header[0];
-  for (long id : lost_ids) st.real_lost_grids.insert(static_cast<int>(id));
 
   // 2. Rebuild the per-grid communicators over the repaired world; ranks
   //    are unchanged, so the same split reproduces the original groups.
@@ -971,13 +909,12 @@ bool FtApp::try_overlap_recovery(RankState& st, long interval, int step_rc) {
   }
   st.last_failed_ranks = failed;
   for (int r : failed) st.failed_union.insert(r);
-  for (int g : cls.affected) st.real_lost_grids.insert(g);
 
   // Stage the buddy generations this rank holds for members of the affected
   // grids.  Eager sends complete at injection cost, so a continuation rank
   // pays almost nothing and the repair leader drains the manifests while
   // the continuation side is already stepping again.
-  std::vector<overlap::StagedReplica> mine_reps;
+  std::vector<ftr::rec::ReplicaMessage> mine_reps;
   if (cfg_.buddy_every > 0) {
     for (int g : cls.affected) {
       const int nprocs = st.btopo.procs_per_grid[static_cast<size_t>(g)];
@@ -989,12 +926,7 @@ bool FtApp::try_overlap_recovery(RankState& st, long interval, int step_rc) {
           if (s <= 0) continue;
           const auto rep = buddy_->read_at(ftmpi::self_pid(), g, gr, s);
           if (!rep.has_value()) continue;  // CRC-invalid generation
-          overlap::StagedReplica r;
-          r.grid = g;
-          r.grank = gr;
-          r.step = s;
-          r.data = rep->data;
-          mine_reps.push_back(std::move(r));
+          mine_reps.push_back({.grid = g, .grank = gr, .step = s, .data = rep->data});
         }
       }
     }
@@ -1176,7 +1108,7 @@ bool FtApp::overlap_abort_repair(RankState& st, const ftmpi::Comm& bridge,
 
 bool FtApp::overlap_repair(RankState& st, long interval, const overlap::Classification& cls,
                            const ftmpi::Comm& bridge, const ftmpi::Comm& rcomm,
-                           std::uint64_t epoch, std::vector<overlap::StagedReplica> staged) {
+                           std::uint64_t epoch, std::vector<ftr::rec::ReplicaMessage> staged) {
   // The classic respawn (spawn on the failed ranks' hosts -> agree -> merge
   // -> ship old ranks -> ordered split), over the repair group only — the
   // continuation side is already stepping while this runs.  Its timings
@@ -1262,7 +1194,7 @@ bool FtApp::overlap_abort_restore(RankState& st, const ftmpi::Comm& rworld, cons
 bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const OverlapView& view,
                                  const ftmpi::Comm& bridge, int cont_leader_shrunken,
                                  std::uint64_t epoch, bool is_child,
-                                 std::vector<overlap::StagedReplica> staged) {
+                                 std::vector<ftr::rec::ReplicaMessage> staged) {
   Comm gc;
   const int split_rc = ftmpi::comm_split(rworld, st.grid, st.wrank, &gc);
   if (split_rc != kSuccess) {
@@ -1334,13 +1266,7 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
         const auto hit = std::find_if(staged.begin(), staged.end(), [&](const auto& r) {
           return r.grid == e.grid && r.grank == st.gcomm.rank() && r.step == e.step;
         });
-        if (hit != staged.end()) {
-          msg = ftr::rec::ReplicaMessage{};
-          msg->grid = hit->grid;
-          msg->grank = hit->grank;
-          msg->step = hit->step;
-          msg->data = hit->data;
-        }
+        if (hit != staged.end()) msg = *hit;
       } else {
         const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
         std::vector<std::byte> buf(5 * sizeof(long) + cells * sizeof(double));
@@ -1436,7 +1362,6 @@ void FtApp::overlap_child(RankState& st) {
   st.wrank = view.member_olds[static_cast<size_t>(rworld.rank())];
   st.grid = layout_.grid_of_rank(st.wrank);
   st.bcast_interval = view.interval;
-  for (int g : layout_.grids_of_ranks(view.member_olds)) st.real_lost_grids.insert(g);
 
   st.overlap_active = true;
   const bool ok = overlap_repair_world(st, rworld, view, Comm{}, -1, /*epoch=*/0,
@@ -1505,10 +1430,7 @@ void FtApp::recovery_and_combine(RankState& st) {
   for (int id : lost_now) {
     lost_levels.push_back(layout_.slots[static_cast<size_t>(id)].level);
   }
-  const ftr::comb::CoefficientProblem gcp(cfg_.layout.scheme,
-                                          tech == Technique::AlternateCombination
-                                              ? 1 + cfg_.layout.extra_layers
-                                              : 1);
+  const ftr::comb::CoefficientProblem gcp(cfg_.layout.scheme, gcp_depth());
   const auto coeffs = gcp.solve(lost_levels);
   std::vector<std::pair<int, double>> contributors;  // grid id, coefficient
   if (coeffs.has_value()) {

@@ -4,13 +4,15 @@
 // Structure per run:
 //   1. setup: split MPI_COMM_WORLD into one group per sub-grid (layout.hpp)
 //      and build a ParallelSolver per group;
-//   2. solve: all groups advance the same fixed timestep.
-//      - CR: the run is divided into C+1 intervals; after each of the first
-//        C intervals every rank probes for failures (communicatorReconstruct)
-//        and then writes a checkpoint — detection happens *before* the
-//        write, as in the paper;
-//      - RC/AC: the solver runs straight through; failure detection is
-//        tested once, at the end, before the combination;
+//   2. solve: all groups advance the same fixed timestep.  The run is
+//      divided into C+1 intervals with a detection point after each, where
+//      every rank probes for failures (communicatorReconstruct).
+//      - CR: C is the configured checkpoint count; after each of the first
+//        C detection points every rank writes a checkpoint — detection
+//        happens *before* the write, as in the paper;
+//      - RC/AC: the zero-checkpoint case — the solver runs straight through
+//        and failure detection is tested once, at the end, before the
+//        combination;
 //   3. repair: on detection, the world is reconstructed (same size, same
 //      ranks, children respawned on the original hosts), grid communicators
 //      are rebuilt by the same comm_split, and the run state is broadcast
@@ -93,7 +95,7 @@ inline constexpr const char* kBuddyReplTime = "recon.buddy.repl_time";
 /// recovery source (harvesting in-flight buddy replicas early).
 inline constexpr const char* kProactiveExits = "recon.proactive.exits";
 inline constexpr const char* kProactivePrestaged = "recon.proactive.prestaged";
-/// Overlapped recovery (FTR_RECOVERY=overlap): successful doorbell handoffs
+/// Overlapped recovery (RecoveryPolicy::Overlap): successful doorbell handoffs
 /// onto a background-repaired world, attempts aborted back to the classic
 /// stop-the-world path, and the timesteps continuation ranks computed while
 /// a repair was in flight (the steps the classic path would have lost).
@@ -117,8 +119,6 @@ inline constexpr const char* kOverlapSteps = "recon.overlap.steps";
 ///               failure of the overlap falls back to the classic
 ///               stop-the-world reconstruct.  Restoration follows the
 ///               planner lattice.
-/// The FTR_RECOVERY environment variable (technique|planner|overlap)
-/// overrides the configured value at construction time.
 enum class RecoveryPolicy { Technique, Planner, Overlap };
 
 struct AppConfig {
@@ -128,7 +128,8 @@ struct AppConfig {
   double cfl = 0.9;
   /// CR: number of checkpoints C (paper Eq. 2; benches compute it from the
   /// policy).  The run is split into C+1 intervals with a detection point
-  /// and a write after each of the first C.
+  /// and a write after each of the first C.  Ignored by RC/AC, which run
+  /// one interval.
   long checkpoints = 3;
   FailurePlan failures;
   /// Push recovered data back onto the lost grids' groups (exercises the
@@ -141,11 +142,10 @@ struct AppConfig {
   /// are identical — they come from the cluster profile either way.
   std::string checkpoint_dir;
   std::string app_name = "ft_pde_app";
-  /// Restoration policy (see RecoveryPolicy; FTR_RECOVERY overrides).
+  /// Restoration policy (see RecoveryPolicy).
   RecoveryPolicy recovery = RecoveryPolicy::Technique;
   /// Diskless buddy replication interval in timesteps (0 = off): every
   /// `buddy_every` steps each rank streams its block to its buddy rank.
-  /// FTR_BUDDY_EVERY overrides.
   long buddy_every = 0;
   /// Act on failure-detector notifications between timesteps: a rank that
   /// learns of a failure (heartbeat timeout or gossip) leaves the solve
@@ -154,9 +154,9 @@ struct AppConfig {
   /// collective on the broken communicator to fail.  Off by default:
   /// *when* gossip arrives at a given timestep depends on real message
   /// timing, so proactive exits trade run-to-run virtual-time
-  /// reproducibility for failure-to-repair latency.  FTR_PROACTIVE
-  /// (on|off) overrides; requires the detector (FTR_DETECTOR != off).
-  /// Overlapped recovery turns this on unless FTR_PROACTIVE says off.
+  /// reproducibility for failure-to-repair latency.  Requires the detector
+  /// (Runtime::Options::detector.enabled).  Overlapped recovery always
+  /// turns this on.
   bool proactive_recovery = false;
 };
 
@@ -180,12 +180,14 @@ class FtApp {
  private:
   struct RankState;  // defined in ft_app.cpp
 
-  /// Run the CR interval loop starting at `start_interval` (non-zero for
-  /// respawned children fast-forwarding).
-  void run_checkpoint_restart_from(RankState& st, long start_interval);
-  void run_combination_technique(RankState& st);  // RC and AC share this path
+  /// Run the interval loop starting at `start_interval` (non-zero for
+  /// respawned children fast-forwarding): solve, detect, and for CR write a
+  /// checkpoint after each of the first checkpoint_count() intervals.
+  void run_intervals_from(RankState& st, long start_interval);
 
-  /// Step boundary of CR interval i (timesteps for i >= checkpoints).
+  /// Checkpoint count C of the run: cfg_.checkpoints for CR, 0 for RC/AC.
+  [[nodiscard]] long checkpoint_count() const;
+  /// Step boundary of interval i (timesteps for i >= checkpoint_count()).
   [[nodiscard]] long interval_target(long interval) const;
 
   /// Advance to `target` steps, firing planned kills; errors fall through
@@ -295,14 +297,14 @@ class FtApp {
   /// drain the staged replica manifests, then restore and hand off.
   bool overlap_repair(RankState& st, long interval, const overlap::Classification& cls,
                       const ftmpi::Comm& bridge, const ftmpi::Comm& rcomm,
-                      std::uint64_t epoch, std::vector<overlap::StagedReplica> staged);
+                      std::uint64_t epoch, std::vector<ftr::rec::ReplicaMessage> staged);
   /// Shared by repair survivors and respawned children: grid communicators
   /// over the partial world, plan + restore the affected grids, completion
   /// barrier, doorbell, handoff, adoption.
   bool overlap_repair_world(RankState& st, ftmpi::Comm rworld, const OverlapView& view,
                             const ftmpi::Comm& bridge, int cont_leader_shrunken,
                             std::uint64_t epoch, bool is_child,
-                            std::vector<overlap::StagedReplica> staged);
+                            std::vector<ftr::rec::ReplicaMessage> staged);
   /// Child entry: receive the run state from the repair leader on the
   /// partial world and join overlap_repair_world.  Aborts the process on
   /// any failure (the classic fallback respawns it).

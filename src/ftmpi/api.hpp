@@ -91,8 +91,7 @@ void chaos_point(const char* phase);
 // always-on failure knowledge.  Its rank-callable surface — detector_enabled,
 // detector_epoch, detector_known_failed, detector_records and
 // detector_knows_failure_in — is declared in detector.hpp (included via
-// runtime.hpp).  Knobs: Runtime::Options::detector, or FTR_DETECTOR=ring|off,
-// FTR_HB_PERIOD / FTR_HB_SUSPECT / FTR_HB_TIMEOUT (virtual seconds).
+// runtime.hpp).  Knobs: Runtime::Options::detector (virtual seconds).
 
 // --- error handling -----------------------------------------------------------
 
@@ -269,8 +268,7 @@ void combine_bytes(void* acc, const void* in, int count, ReduceOp op) {
 using CombineBytesFn = void (*)(void* acc, const void* in, int count, ReduceOp op);
 
 /// True when the runtime routes allreduce and comm_agree through the
-/// log-depth tree protocols (Runtime::Options::tree_protocols, overridable
-/// with FTR_AGREE=tree|linear).
+/// log-depth tree protocols (Runtime::Options::tree_protocols).
 [[nodiscard]] bool tree_collectives_enabled();
 
 /// Fault-tolerant log-depth allreduce: partial vectors reduce up a binary

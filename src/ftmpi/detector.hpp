@@ -43,11 +43,10 @@ class Runtime;
 
 namespace detector {
 
-/// Tuning knobs (Runtime::Options::detector; env overrides FTR_DETECTOR,
-/// FTR_HB_PERIOD, FTR_HB_SUSPECT, FTR_HB_TIMEOUT).  All times are virtual
+/// Tuning knobs (Runtime::Options::detector).  All times are virtual
 /// seconds.
 struct Options {
-  /// FTR_DETECTOR=ring (default) or off.  Off short-circuits every hook, so
+  /// Run the heartbeat ring (default).  Off short-circuits every hook, so
   /// the runtime behaves bit-for-bit like the pre-detector code.
   bool enabled = true;
   /// Heartbeat period.  Deliberately long relative to microsecond-scale
@@ -112,7 +111,7 @@ struct State {
   long false_alarms = 0;          ///< suspects that answered the probe
 };
 
-/// True when ps's runtime runs the detector (FTR_DETECTOR=ring).
+/// True when ps's runtime runs the detector (Options::enabled).
 [[nodiscard]] bool enabled(const ProcessState& ps);
 
 /// Progress hook called from detail::charge(): cheap early-out unless a

@@ -21,24 +21,6 @@ ProcessState* Runtime::current() { return tls_proc; }
 
 Runtime::Runtime(Options opt) : opt_(std::move(opt)) {
   if (opt_.slots_per_host <= 0) opt_.slots_per_host = 1;
-  if (const char* env = std::getenv("FTR_TRACE"); env != nullptr && env[0] == '1') {
-    trace_.enable();
-  }
-  if (const char* env = std::getenv("FTR_DETECTOR"); env != nullptr) {
-    opt_.detector.enabled = std::string(env) != "off";
-  }
-  if (const char* env = std::getenv("FTR_HB_PERIOD"); env != nullptr) {
-    if (const double v = std::atof(env); v > 0.0) opt_.detector.period = v;
-  }
-  if (const char* env = std::getenv("FTR_HB_SUSPECT"); env != nullptr) {
-    if (const double v = std::atof(env); v > 0.0) opt_.detector.suspect_after = v;
-  }
-  if (const char* env = std::getenv("FTR_HB_TIMEOUT"); env != nullptr) {
-    if (const double v = std::atof(env); v > 0.0) opt_.detector.confirm_after = v;
-  }
-  if (const char* env = std::getenv("FTR_AGREE"); env != nullptr) {
-    opt_.tree_protocols = std::string(env) != "linear";
-  }
   if (opt_.detector.suspect_after < opt_.detector.period) {
     opt_.detector.suspect_after = opt_.detector.period;
   }
@@ -137,20 +119,20 @@ std::pair<int, int> Runtime::allocate_slot_locked(int preferred_host) {
 }
 
 void Runtime::fail_host(int host) {
-  std::vector<ProcId> victims;
+  std::vector<const ProcessState*> victims;
   {
+    // The residents die under the same lock that marks the host failed, so
+    // a resident that observes host_failed() is already dead.
     std::lock_guard<std::mutex> lock(mu_);
     if (host < 0 || static_cast<size_t>(host) >= hosts_.size()) return;
     host_failed_[static_cast<size_t>(host)] = true;
     for (const auto& ps : procs_) {
-      if (ps->host == host && !ps->dead.load() && !ps->finished.load()) {
-        victims.push_back(ps->pid);
-      }
+      if (ps->host == host && mark_dead_locked(*ps)) victims.push_back(ps.get());
     }
   }
   FTR_INFO("ftmpi: node failure on host %d kills %zu processes", host, victims.size());
   trace_.record(0.0, kNullProc, TraceEvent::HostFail, host);
-  for (ProcId pid : victims) kill(pid);
+  for (const ProcessState* ps : victims) announce_kill(*ps);
 }
 
 bool Runtime::host_failed(int host) const {
@@ -313,18 +295,31 @@ void Runtime::kill(ProcId pid) {
     std::lock_guard<std::mutex> lock(mu_);
     if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return;
     ps = procs_[static_cast<size_t>(pid)].get();
-    if (ps->dead.load() || ps->finished.load()) return;
-    ps->dead.store(true);
-    // Free the host slot so repair can re-spawn on the same node, which is
-    // exactly the paper's load-balancing strategy.
-    hosts_[static_cast<size_t>(ps->host)][static_cast<size_t>(ps->slot)] = false;
+    if (!mark_dead_locked(*ps)) return;
   }
+  announce_kill(*ps);
+}
+
+bool Runtime::mark_dead_locked(ProcessState& ps) {
+  if (ps.dead.load() || ps.finished.load()) return false;
+  ps.dead.store(true);
+  // Free the host slot so repair can re-spawn on the same node, which is
+  // exactly the paper's load-balancing strategy.
+  hosts_[static_cast<size_t>(ps.host)][static_cast<size_t>(ps.slot)] = false;
+  return true;
+}
+
+void Runtime::announce_kill(const ProcessState& ps) {
   killed_.fetch_add(1);
   failure_epoch_.fetch_add(1);
   membership_epoch_.fetch_add(1);
-  trace_.record(ps->vclock, pid, TraceEvent::Kill, ps->world_rank);
+  // Stamped with the killer's clock: the victim's vclock belongs to its own
+  // thread, which may still be charging time.
+  const ProcessState* actor = current();
+  trace_.record(actor != nullptr ? actor->vclock : 0.0, ps.pid, TraceEvent::Kill,
+                ps.world_rank);
   notify_all_procs();
-  FTR_DEBUG("ftmpi: killed pid %d (world rank %d)", pid, ps->world_rank);
+  FTR_DEBUG("ftmpi: killed pid %d (world rank %d)", ps.pid, ps.world_rank);
 }
 
 bool Runtime::is_dead(ProcId pid) const {

@@ -107,13 +107,13 @@ class Runtime {
     /// fail — comm_spawn_multiple returns kErrSpawn — which is what forces
     /// the shrink-mode recovery fallback.
     int max_hosts = 0;
-    /// Failure-detector knobs (env overrides FTR_DETECTOR, FTR_HB_PERIOD,
-    /// FTR_HB_SUSPECT, FTR_HB_TIMEOUT are applied at Runtime construction).
+    /// Failure-detector knobs.  The constructor clamps the thresholds so
+    /// that period <= suspect_after < confirm_after.
     detector::Options detector{};
-    /// Log-depth tree topology for comm_agree and allreduce (FTR_AGREE=tree,
-    /// the default).  FTR_AGREE=linear restores the coordinator-based
-    /// protocols; combined with FTR_DETECTOR=off that is bit-for-bit the
-    /// pre-detector runtime.
+    /// Log-depth tree topology for comm_agree and allreduce (the default).
+    /// False restores the coordinator-based protocols; combined with
+    /// detector.enabled = false that is bit-for-bit the pre-detector
+    /// runtime.
     bool tree_protocols = true;
   };
 
@@ -186,7 +186,7 @@ class Runtime {
   [[nodiscard]] Stats stats() const;
   void record_message(std::size_t bytes, bool cross_host);
 
-  /// Event trace (off by default; FTR_TRACE=1 enables it at construction).
+  /// Event trace (off by default; trace().enable() turns it on).
   [[nodiscard]] Trace& trace() { return trace_; }
   [[nodiscard]] const Trace& trace() const { return trace_; }
 
@@ -249,6 +249,11 @@ class Runtime {
   void thread_main(ProcessState* ps);
   /// Find/extend a host with a free slot; returns {host, slot}.  mu_ held.
   std::pair<int, int> allocate_slot_locked(int preferred_host);
+  /// Mark ps dead and free its host slot; false if it already died or
+  /// finished.  mu_ held.
+  bool mark_dead_locked(ProcessState& ps);
+  /// The unlocked half of a kill: counters, trace record, wake-ups.
+  void announce_kill(const ProcessState& ps);
   void dump_state() const;
 
   Options opt_;

@@ -1,7 +1,7 @@
 #pragma once
 // Lightweight event tracing for the simulated runtime.
 //
-// When enabled (programmatically or via FTR_TRACE=1), every notable runtime
+// When enabled (Runtime::trace().enable()), every notable runtime
 // event — kills, spawns, revokes, shrink/agree completions, repairs — is
 // appended to a bounded in-memory ring with its virtual timestamp.  Tests
 // assert on event sequences; humans dump the ring to understand a run:

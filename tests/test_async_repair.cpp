@@ -106,7 +106,7 @@ TEST(OverlapDoorbell, EpochValidation) {
 }
 
 TEST(OverlapManifest, PackUnpackRoundTrip) {
-  std::vector<overlap::StagedReplica> reps(2);
+  std::vector<ftr::rec::ReplicaMessage> reps(2);
   reps[0].grid = 1;
   reps[0].grank = 0;
   reps[0].step = 12;
@@ -153,8 +153,26 @@ TEST(OverlapRecovery, MinorityKillHandsOffAndMatchesCleanError) {
   EXPECT_NEAR(err, err_clean, 1e-12);
 }
 
+TEST(OverlapRecovery, AcMinorityKillHandsOffAtItsOnlyDetectionPoint) {
+  // The same minority kill on an AC layout: AC runs one interval, so the
+  // overlap engages at the single detection point before the combination
+  // and hands off there.  The answer is not yet compared with the clean
+  // run: a handoff in the final interval lets continuation grids reach the
+  // combination short of `timesteps`, a known defect.
+  AppConfig cfg = overlap_app();
+  cfg.layout.technique = Technique::AlternateCombination;
+  cfg.failures.kill_at_step[5] = 10;
+  ftmpi::Runtime rt(rt_opts());
+  FtApp app(cfg);
+  EXPECT_EQ(app.launch(rt), 1);
+  EXPECT_GE(rt.get(keys::kOverlapHandoffs, -1), 1.0);
+  EXPECT_EQ(rt.get(keys::kOverlapAborts, 0), 0.0);
+  EXPECT_DOUBLE_EQ(rt.get(keys::kRepairs, -1), 1.0);
+  EXPECT_GE(rt.get(keys::kErrorL1, -1), 0.0);
+}
+
 TEST(OverlapRecovery, PlannerPolicyPinsClassicPath) {
-  // FTR_RECOVERY=planner must reproduce the pre-overlap recovery path
+  // RecoveryPolicy::Planner must reproduce the pre-overlap recovery path
   // bit-for-bit: the overlap machinery never engages (no handoffs, no
   // overlapped steps, no aborts) and the recovered error equals the clean
   // error exactly, as the classic CR pin guarantees.

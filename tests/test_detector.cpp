@@ -1,6 +1,6 @@
 // Failure-detector tests: heartbeat-ring detection, gossip propagation,
 // chaos kills at the detector's own phase boundaries, the tree agreement
-// under chaos, and the FTR_DETECTOR=off legacy fallback.
+// under chaos, and the detector.enabled = false legacy fallback.
 //
 // The detector is a zero virtual-cost overlay, but *when* knowledge arrives
 // at a rank depends on real message timing.  Tests therefore assert virtual
@@ -305,7 +305,7 @@ Runtime::Options app_opts(bool detector_on = true) {
 
 }  // namespace
 
-// FTR_DETECTOR=off fallback: with the detector disabled the runtime must
+// Detector-off fallback: with the detector disabled the runtime must
 // behave *bit-for-bit* like the pre-detector code — and because the
 // detector is a zero virtual-cost overlay, enabling it must not move any
 // result either.

@@ -1,11 +1,10 @@
-// Failure inter-arrival model (FTR_FAILURE_DIST=exp|weibull): distribution
-// moments against closed forms, env-knob parsing, and the scheduled plan's
+// Failure inter-arrival model (exponential or Weibull ArrivalModel):
+// distribution moments against closed forms and the scheduled plan's
 // invariants (rank 0 spared, steps from cumulative gaps, bounds respected).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "common/rng.hpp"
 #include "core/failure_gen.hpp"
@@ -84,24 +83,6 @@ TEST(FailureArrivals, WeibullShapeOneDegeneratesToExponential) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_DOUBLE_EQ(draw_interarrival(exp_m, a), draw_interarrival(wei_m, b));
   }
-}
-
-TEST(FailureArrivals, EnvKnobsOverrideModel) {
-  setenv("FTR_FAILURE_DIST", "weibull", 1);
-  setenv("FTR_FAILURE_SCALE", "12.5", 1);
-  setenv("FTR_FAILURE_SHAPE", "0.5", 1);
-  const ArrivalModel m = arrival_model_from_env({});
-  unsetenv("FTR_FAILURE_DIST");
-  unsetenv("FTR_FAILURE_SCALE");
-  unsetenv("FTR_FAILURE_SHAPE");
-  EXPECT_EQ(m.dist, FailureDist::Weibull);
-  EXPECT_DOUBLE_EQ(m.scale, 12.5);
-  EXPECT_DOUBLE_EQ(m.shape, 0.5);
-  // Unset environment: the fallback passes through untouched.
-  const ArrivalModel fb{FailureDist::Exponential, 4.0, 1.0};
-  const ArrivalModel same = arrival_model_from_env(fb);
-  EXPECT_EQ(same.dist, fb.dist);
-  EXPECT_DOUBLE_EQ(same.scale, fb.scale);
 }
 
 TEST(FailureArrivals, ScheduledPlanRespectsInvariants) {

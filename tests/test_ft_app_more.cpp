@@ -70,6 +70,30 @@ TEST(FtAppEdge, FailureOnLastStepIsCaughtByEndDetection) {
   EXPECT_GE(rt.get(keys::kErrorL1, -1), 0.0);
 }
 
+TEST(FtAppEdge, RcAcIgnoreCheckpointCount) {
+  // RC/AC run the interval loop with zero checkpoints whatever
+  // cfg.checkpoints says: one detection point at the end, no writes, and
+  // the same repair and answer for any configured count.
+  for (const Technique t : {Technique::ResamplingCopying, Technique::AlternateCombination}) {
+    double err[2], repairs[2];
+    for (const long c : {0L, 3L}) {
+      ftmpi::Runtime rt(rt_opts());
+      AppConfig cfg = small_app(t);
+      cfg.checkpoints = c;
+      cfg.failures.kill_at_step[5] = 10;
+      FtApp app(cfg);
+      EXPECT_EQ(app.launch(rt), 1) << technique_name(t);
+      EXPECT_EQ(rt.get(keys::kCkptWrites, -1), 0.0) << technique_name(t);
+      err[c != 0] = rt.get(keys::kErrorL1, -1);
+      repairs[c != 0] = rt.get(keys::kRepairs, -1);
+    }
+    EXPECT_GE(err[0], 0.0) << technique_name(t);
+    EXPECT_EQ(err[0], err[1]) << technique_name(t);
+    EXPECT_EQ(repairs[0], 1.0) << technique_name(t);
+    EXPECT_EQ(repairs[0], repairs[1]) << technique_name(t);
+  }
+}
+
 TEST(FtAppEdge, RcSurvivesLossOfDuplicateGrid) {
   // Simulated loss of a duplicate grid: recovered by copying its primary;
   // since duplicates do not enter the combination, the error matches clean.

@@ -13,12 +13,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "core/chaos.hpp"
 #include "core/ft_app.hpp"
 #include "core/layout.hpp"
@@ -346,38 +344,6 @@ TEST(BuddyWire, PackUnpackRoundTripAndRejection) {
   EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), 3).has_value());
   buf[buf.size() - 2] ^= std::byte{0x40};
   EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), buf.size()).has_value());
-}
-
-// --- env plumbing -----------------------------------------------------------
-
-TEST(PlannerConfig, EnvOverridesRecoveryPolicyAndInterval) {
-  setenv("FTR_RECOVERY", "planner", 1);
-  setenv("FTR_BUDDY_EVERY", "6", 1);
-  {
-    FtApp app(small_app(Technique::ResamplingCopying));
-    EXPECT_EQ(app.config().recovery, RecoveryPolicy::Planner);
-    EXPECT_EQ(app.config().buddy_every, 6);
-  }
-  // The forced-technique values are gone: the layout's technique already
-  // selects its restoration, so "ac" is rejected like any unknown value.
-  setenv("FTR_RECOVERY", "ac", 1);
-  {
-    const ftr::LogLevel saved = ftr::Logger::instance().level();
-    ftr::Logger::instance().set_level(ftr::LogLevel::Warn);
-    testing::internal::CaptureStderr();
-    FtApp app(small_app(Technique::CheckpointRestart));
-    const std::string log = testing::internal::GetCapturedStderr();
-    ftr::Logger::instance().set_level(saved);
-    EXPECT_EQ(app.config().recovery, RecoveryPolicy::Technique);
-    EXPECT_NE(log.find("unknown FTR_RECOVERY value 'ac'"), std::string::npos) << log;
-  }
-  setenv("FTR_RECOVERY", "bogus", 1);
-  {
-    FtApp app(small_app(Technique::CheckpointRestart));
-    EXPECT_EQ(app.config().recovery, RecoveryPolicy::Technique);
-  }
-  unsetenv("FTR_RECOVERY");
-  unsetenv("FTR_BUDDY_EVERY");
 }
 
 // --- end-to-end -------------------------------------------------------------
