@@ -232,7 +232,8 @@ FTR_NODISCARD int gatherv(const std::vector<T>& sendbuf, std::vector<std::vector
     recv_parts->reserve(parts.size());
     for (auto& p : parts) {
       std::vector<T> v(p.size() / sizeof(T));
-      std::memcpy(v.data(), p.data(), v.size() * sizeof(T));
+      // An empty vector's data() may be null, which memcpy must not get.
+      if (!v.empty()) std::memcpy(v.data(), p.data(), v.size() * sizeof(T));
       recv_parts->push_back(std::move(v));
     }
   }

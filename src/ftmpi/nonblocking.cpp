@@ -114,21 +114,13 @@ bool buffered_match(const Message& m, const Comm& c, int src, int tag) {
   return c.is_inter() ? (m.src_side != side) : (m.src_side == side);
 }
 
-}  // namespace
-
-int iprobe(int src, int tag, const Comm& c, int* flag, Status* status) {
-  detail::check_alive();
-  *flag = 0;
-  if (c.is_null()) return kErrComm;
-  FTR_PSAN_USE(c, "iprobe");
-  if (c.is_revoked()) {
-    // Returned directly, not via finish(): mark the observation here.
-    FTR_PSAN_REVOKE_OBSERVED(c, "error return (kErrRevoked)");
-    return kErrRevoked;
-  }
-  ProcessState& ps = detail::self();
-  const bool inter = c.is_inter();
-  std::lock_guard<std::mutex> lock(ps.mu);
+/// iprobe's answer, with ps.mu held by the caller: kErrRevoked for a revoked
+/// communicator, *flag = 1 for a buffered match, and kErrProcFailed when
+/// nothing matches and the named sender is gone (so callers do not spin on
+/// a crashed sender).
+int probe_locked(const ProcessState& ps, int src, int tag, const Comm& c, int* flag,
+                 Status* status) {
+  if (c.is_revoked()) return kErrRevoked;
   for (const Message& m : ps.mailbox) {
     if (!buffered_match(m, c, src, tag)) continue;
     *flag = 1;
@@ -140,27 +132,49 @@ int iprobe(int src, int tag, const Comm& c, int* flag, Status* status) {
     }
     return kSuccess;
   }
-  // Nothing buffered; report a failed named peer so callers do not spin on
-  // a crashed sender.
   if (src != kAnySource) {
-    const Group& senders = inter ? c.remote_group() : c.group();
-    const ProcId pid = senders.pids.at(static_cast<size_t>(src));
-    ProcessState& sender = detail::rt().proc(pid);
+    const Group& senders = c.is_inter() ? c.remote_group() : c.group();
+    const ProcessState& sender = detail::rt().proc(senders.pids.at(static_cast<size_t>(src)));
     if (sender.dead.load() || sender.finished.load()) return kErrProcFailed;
   }
   return kSuccess;
 }
 
+}  // namespace
+
+int iprobe(int src, int tag, const Comm& c, int* flag, Status* status) {
+  detail::check_alive();
+  *flag = 0;
+  if (c.is_null()) return kErrComm;
+  FTR_PSAN_USE(c, "iprobe");
+  ProcessState& ps = detail::self();
+  int rc = kSuccess;
+  {
+    std::lock_guard<std::mutex> lock(ps.mu);
+    rc = probe_locked(ps, src, tag, c, flag, status);
+  }
+  // Returned directly, not via finish(): mark the observation here.
+  if (rc == kErrRevoked) FTR_PSAN_REVOKE_OBSERVED(c, "error return (kErrRevoked)");
+  return rc;
+}
+
 FTR_YIELD int probe(int src, int tag, const Comm& c, Status* status) {
-  // Blocking probe: poll the mailbox under the wait loop's predicate rules.
+  detail::check_alive();
+  if (c.is_null()) return kErrComm;
+  FTR_PSAN_USE(c, "probe");
+  ProcessState& ps = detail::self();
+  std::unique_lock<std::mutex> lock(ps.mu);
   for (;;) {
-    int flag = 0;
-    const int rc = iprobe(src, tag, c, &flag, status);
-    if (rc != kSuccess) return finish(c, rc);
-    if (flag) return kSuccess;
-    ProcessState& ps = detail::self();
-    std::unique_lock<std::mutex> lock(ps.mu);
     if (ps.dead.load()) throw ProcessKilled{ps.pid};
+    // Check under the lock the wait parks with: a delivery, revoke or sender
+    // exit that lands between a check and the wait would never wake it.
+    int flag = 0;
+    const int rc = probe_locked(ps, src, tag, c, &flag, status);
+    if (rc != kSuccess) {
+      lock.unlock();
+      return finish(c, rc);
+    }
+    if (flag) return kSuccess;
     FTR_DLSAN_BLOCK_PROBE(c, src, tag);
     ps.cv.wait(lock);
     FTR_DLSAN_UNBLOCK();

@@ -76,7 +76,7 @@ void post(ProcId dst, Message msg, std::size_t bytes) {
   ProcessState& ps = self();
   Runtime& r = rt();
   const CostModel& cm = r.cost();
-  const bool same_host = r.host_of(ps.pid) == r.host_of(dst);
+  const bool same_host = ps.host == r.host_of(dst);
   ps.vclock += cm.send_overhead + cm.transfer_time(bytes, same_host);
   msg.src_pid = ps.pid;
   msg.arrive = ps.vclock + cm.latency(same_host);

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 
 #include "common/annotations.hpp"
 #include "common/logging.hpp"
@@ -32,20 +33,32 @@ Runtime::Runtime(Options opt) : opt_(std::move(opt)) {
 Runtime::~Runtime() {
   // All threads were joined by run(); joining again here covers the case
   // where a Runtime is destroyed after an aborted construction path.
-  // Join without holding mu_ (see run()).
-  std::vector<std::thread*> to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& ps : procs_) {
-      if (ps->thread.joinable()) to_join.push_back(&ps->thread);
-    }
-  }
-  for (std::thread* t : to_join) t->join();
+  procs_.for_each([](ProcessState& ps) {
+    if (ps.thread.joinable()) ps.thread.join();
+  });
   // Pids and context ids restart per Runtime (and stack Runtimes can reuse
   // an address), so the sanitizers must forget this instance.
   FTR_PSAN_RUNTIME_DESTROYED(this);
   FTR_VTSAN_RUNTIME_DESTROYED(this);
   FTR_DLSAN_RUNTIME_DESTROYED(this);
+}
+
+ProcessState& Runtime::ProcessTable::append(std::unique_ptr<ProcessState> ps) {
+  const std::size_t n = size_.load(std::memory_order_relaxed);
+  const std::size_t chunk = n >> kChunkBits;
+  if (chunk >= kMaxChunks) throw std::length_error("ftmpi: process table full");
+  if (!chunks_[chunk]) chunks_[chunk] = std::make_unique<Chunk>();
+  ps->pid = static_cast<ProcId>(n);
+  ProcessState& out = *ps;
+  (*chunks_[chunk])[n & (kChunkSize - 1)] = std::move(ps);
+  size_.store(n + 1, std::memory_order_release);
+  return out;
+}
+
+ProcessState& Runtime::ProcessTable::get(ProcId pid) const {
+  ProcessState* ps = find(pid);
+  if (ps == nullptr) throw std::out_of_range("ftmpi: unknown pid " + std::to_string(pid));
+  return *ps;
 }
 
 void Runtime::register_app(const std::string& name, EntryFn entry) {
@@ -126,9 +139,9 @@ void Runtime::fail_host(int host) {
     std::lock_guard<std::mutex> lock(mu_);
     if (host < 0 || static_cast<size_t>(host) >= hosts_.size()) return;
     host_failed_[static_cast<size_t>(host)] = true;
-    for (const auto& ps : procs_) {
-      if (ps->host == host && mark_dead_locked(*ps)) victims.push_back(ps.get());
-    }
+    procs_.for_each([&](ProcessState& ps) {
+      if (ps.host == host && mark_dead_locked(ps)) victims.push_back(&ps);
+    });
   }
   FTR_INFO("ftmpi: node failure on host %d kills %zu processes", host, victims.size());
   trace_.record(0.0, kNullProc, TraceEvent::HostFail, host);
@@ -143,10 +156,9 @@ bool Runtime::host_failed(int host) const {
 
 std::vector<ProcId> Runtime::procs_on_host(int host) const {
   std::vector<ProcId> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& ps : procs_) {
-    if (ps->host == host) out.push_back(ps->pid);
-  }
+  procs_.for_each([&](const ProcessState& ps) {
+    if (ps.host == host) out.push_back(ps.pid);
+  });
   return out;
 }
 
@@ -157,24 +169,24 @@ ProcId Runtime::create_process(const std::string& app, std::vector<std::string> 
   if (host < 0) return kNullProc;
   auto ps = std::make_unique<ProcessState>();
   ps->rt = this;
-  ps->pid = static_cast<ProcId>(procs_.size());
   ps->app = app;
   ps->argv = std::move(argv);
   ps->vclock = start_clock;
   ps->host = host;
   ps->slot = slot;
-  procs_.push_back(std::move(ps));
+  ProcessState& created = procs_.append(std::move(ps));
   // Registered before any thread exists: run() creates the whole world
   // before starting rank 0, so the deadlock sanitizer never mistakes a
   // not-yet-started peer for an absent one.
-  FTR_DLSAN_PROC_CREATED(this, procs_.back().get());
-  return procs_.back()->pid;
+  FTR_DLSAN_PROC_CREATED(this, &created);
+  return created.pid;
 }
 
 void Runtime::release_unstarted(ProcId pid) {
+  ProcessState* found = procs_.find(pid);
+  if (found == nullptr) return;
+  ProcessState& ps = *found;
   std::lock_guard<std::mutex> lock(mu_);
-  if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return;
-  ProcessState& ps = *procs_[static_cast<size_t>(pid)];
   if (ps.thread.joinable() || ps.finished.load()) return;  // already started
   ps.dead.store(true);
   ps.finished.store(true);
@@ -183,10 +195,9 @@ void Runtime::release_unstarted(ProcId pid) {
 }
 
 void Runtime::start_process(ProcId pid) {
-  ProcessState* ps = nullptr;
+  ProcessState* ps = &proc(pid);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ps = procs_.at(static_cast<size_t>(pid)).get();
     ++active_;
   }
   ps->started.store(true);
@@ -272,17 +283,11 @@ int Runtime::run(const std::string& app, int world_size, std::vector<std::string
       }
     }
   }
-  // Join without holding mu_: an exiting thread's wrapper still calls
-  // notify_all_procs() (which needs mu_) after decrementing the active
-  // count, so joining under the lock would deadlock against it.
-  std::vector<std::thread*> to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& ps : procs_) {
-      if (ps->thread.joinable()) to_join.push_back(&ps->thread);
-    }
-  }
-  for (std::thread* t : to_join) t->join();
+  // No process is active, so no spawn can append while we walk the table;
+  // the exit wrappers may still be notifying, which join() waits out.
+  procs_.for_each([](ProcessState& ps) {
+    if (ps.thread.joinable()) ps.thread.join();
+  });
   // Fold every rank clock into the driver clock so the next run() on this
   // runtime is ordered after this one (blackboard keys are often reused).
   FTR_VTSAN_RUN_COMPLETE(this);
@@ -290,11 +295,10 @@ int Runtime::run(const std::string& app, int world_size, std::vector<std::string
 }
 
 void Runtime::kill(ProcId pid) {
-  ProcessState* ps = nullptr;
+  ProcessState* ps = procs_.find(pid);
+  if (ps == nullptr) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return;
-    ps = procs_[static_cast<size_t>(pid)].get();
     if (!mark_dead_locked(*ps)) return;
   }
   announce_kill(*ps);
@@ -323,60 +327,49 @@ void Runtime::announce_kill(const ProcessState& ps) {
 }
 
 bool Runtime::is_dead(ProcId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return true;
-  return procs_[static_cast<size_t>(pid)]->dead.load();
+  const ProcessState* ps = procs_.find(pid);
+  return ps == nullptr || ps->dead.load();
 }
 
 bool Runtime::any_dead(const Group& g) const {
-  std::lock_guard<std::mutex> lock(mu_);
   for (ProcId p : g.pids) {
-    if (procs_[static_cast<size_t>(p)]->dead.load()) return true;
+    if (is_dead(p)) return true;
   }
   return false;
 }
 
 std::vector<ProcId> Runtime::dead_members(const Group& g) const {
   std::vector<ProcId> out;
-  std::lock_guard<std::mutex> lock(mu_);
   for (ProcId p : g.pids) {
-    if (procs_[static_cast<size_t>(p)]->dead.load()) out.push_back(p);
+    if (is_dead(p)) out.push_back(p);
   }
   return out;
 }
 
 int Runtime::lowest_live_rank(const Group& g) const {
-  std::lock_guard<std::mutex> lock(mu_);
   for (int r = 0; r < g.size(); ++r) {
-    if (!procs_[static_cast<size_t>(g.pids[static_cast<size_t>(r)])]->dead.load()) return r;
+    if (!is_dead(g.pids[static_cast<size_t>(r)])) return r;
   }
   return -1;
 }
 
-int Runtime::host_of(ProcId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return procs_.at(static_cast<size_t>(pid))->host;
-}
+int Runtime::host_of(ProcId pid) const { return proc(pid).host; }
 
-int Runtime::total_processes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(procs_.size());
-}
+int Runtime::total_processes() const { return static_cast<int>(procs_.size()); }
 
 std::vector<ProcId> Runtime::active_pids() const {
   std::vector<ProcId> out;
-  std::lock_guard<std::mutex> lock(mu_);
   out.reserve(procs_.size());
-  for (const auto& ps : procs_) {
+  procs_.for_each([&](const ProcessState& ps) {
     // A process leaves the RTE-visible membership only by *deregistering
     // cleanly* (finishing without having been killed).  A crashed process
     // stays listed — its silence in the heartbeat ring is exactly what the
     // detector's timeout observes; it leaves each rank's ring view only
     // when that rank learns of the death (known_failed).
-    if (ps->started.load() && (ps->dead.load() || !ps->finished.load())) {
-      out.push_back(ps->pid);
+    if (ps.started.load() && (ps.dead.load() || !ps.finished.load())) {
+      out.push_back(ps.pid);
     }
-  }
+  });
   return out;
 }
 
@@ -399,24 +392,14 @@ std::shared_ptr<CommContext> Runtime::find_context(std::uint64_t id) const {
   return it == contexts_.end() ? nullptr : it->second;
 }
 
-ProcessState& Runtime::proc(ProcId pid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return *procs_.at(static_cast<size_t>(pid));
-}
+ProcessState& Runtime::proc(ProcId pid) { return procs_.get(pid); }
 
-const ProcessState& Runtime::proc(ProcId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return *procs_.at(static_cast<size_t>(pid));
-}
+const ProcessState& Runtime::proc(ProcId pid) const { return procs_.get(pid); }
 
 void Runtime::deliver(ProcId dst, Message msg) {
   FTR_VTSAN_STAMP(msg);
-  ProcessState* ps = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dst < 0 || static_cast<size_t>(dst) >= procs_.size()) return;
-    ps = procs_[static_cast<size_t>(dst)].get();
-  }
+  ProcessState* ps = procs_.find(dst);
+  if (ps == nullptr) return;
   {
     std::lock_guard<std::mutex> lock(ps->mu);
     if (ps->dead.load()) return;  // the network cannot deliver to a crashed process
@@ -431,13 +414,14 @@ void Runtime::deliver(ProcId dst, Message msg) {
 
 void Runtime::notify_all_procs() {
   FTR_DLSAN_NOTIFY_ALL(this);
-  std::vector<ProcessState*> all;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    all.reserve(procs_.size());
-    for (auto& ps : procs_) all.push_back(ps.get());
-  }
-  for (auto* ps : all) ps->cv.notify_all();
+  procs_.for_each([](ProcessState& ps) {
+    if (ps.finished.load()) return;  // exited: never waits again
+    // Passing through the waiter's lock orders this notify after its
+    // predicate check: the waiter either has not checked yet, and will see
+    // the new state, or is already parked in cv.wait and is woken.
+    { std::lock_guard<std::mutex> lock(ps.mu); }
+    ps.cv.notify_all();
+  });
 }
 
 Runtime::Stats Runtime::stats() const {
@@ -485,13 +469,12 @@ void Runtime::clear_results() {
 }
 
 void Runtime::dump_state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& ps : procs_) {
-    std::lock_guard<std::mutex> plock(ps->mu);
+  procs_.for_each([](ProcessState& ps) {
+    std::lock_guard<std::mutex> lock(ps.mu);
     FTR_ERROR("  pid=%d rank=%d host=%d dead=%d finished=%d mailbox=%zu vclock=%.6f",
-              ps->pid, ps->world_rank, ps->host, ps->dead.load() ? 1 : 0,
-              ps->finished.load() ? 1 : 0, ps->mailbox.size(), ps->vclock);
-  }
+              ps.pid, ps.world_rank, ps.host, ps.dead.load() ? 1 : 0,
+              ps.finished.load() ? 1 : 0, ps.mailbox.size(), ps.vclock);
+  });
 }
 
 }  // namespace ftmpi

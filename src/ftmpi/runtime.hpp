@@ -13,6 +13,7 @@
 // ProcessKilled) at its next runtime call, and every operation by a peer
 // that depends on the victim eventually returns kErrProcFailed.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -150,6 +151,9 @@ class Runtime {
   /// Pids currently placed on `host` (live or dead).
   [[nodiscard]] std::vector<ProcId> procs_on_host(int host) const;
 
+  // Pid lookups (proc, is_dead, host_of, the group queries, active_pids,
+  // total_processes) take no lock: see ProcessTable.
+  /// True for a dead process and for a pid that was never created.
   [[nodiscard]] bool is_dead(ProcId pid) const;
   [[nodiscard]] bool any_dead(const Group& g) const;
   [[nodiscard]] std::vector<ProcId> dead_members(const Group& g) const;
@@ -222,14 +226,16 @@ class Runtime {
   }
   [[nodiscard]] bool has_chaos_hook() const { return static_cast<bool>(chaos_hook_); }
 
+  /// The process with this pid; throws std::out_of_range for an unknown one.
   [[nodiscard]] ProcessState& proc(ProcId pid);
   [[nodiscard]] const ProcessState& proc(ProcId pid) const;
 
   /// Enqueue a message; drops silently if the destination is dead
   /// (matching a network that cannot deliver to a crashed process).
   void deliver(ProcId dst, Message msg);
-  /// Wake every blocked process so waiting predicates re-evaluate
-  /// (used by kill and revoke).
+  /// Wake every blocked process so waiting predicates re-evaluate (used by
+  /// kill, exit, revoke and agreement restarts).  Takes each process's mu
+  /// in turn, so the caller must hold no ProcessState::mu.
   void notify_all_procs();
 
   // --- results blackboard ---------------------------------------------------
@@ -246,6 +252,42 @@ class Runtime {
   static ProcessState* current();
 
  private:
+  /// Append-only pid -> process table whose slots never move: 1024-slot
+  /// chunks hang off a fixed directory.  append() fills the next slot and
+  /// publishes it with a release store of the size; readers load the size
+  /// with acquire and touch only the slots below it, so lookups need no
+  /// lock.  Appends are serialised by the caller (Runtime::mu_).
+  class ProcessTable {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_.load(std::memory_order_acquire); }
+    /// nullptr for a pid that was never appended.
+    [[nodiscard]] ProcessState* find(ProcId pid) const {
+      if (pid < 0 || static_cast<std::size_t>(pid) >= size()) return nullptr;
+      return at(static_cast<std::size_t>(pid));
+    }
+    /// Like find(), but throws std::out_of_range for an unknown pid.
+    [[nodiscard]] ProcessState& get(ProcId pid) const;
+    /// Store `ps` under the next pid, which it is given.
+    ProcessState& append(std::unique_ptr<ProcessState> ps);
+    /// Visit every published process in pid order.
+    template <class F>
+    void for_each(F&& f) const {
+      const std::size_t n = size();
+      for (std::size_t i = 0; i < n; ++i) f(*at(i));
+    }
+
+   private:
+    static constexpr std::size_t kChunkBits = 10;
+    static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
+    static constexpr std::size_t kMaxChunks = 1024;
+    using Chunk = std::array<std::unique_ptr<ProcessState>, kChunkSize>;
+    [[nodiscard]] ProcessState* at(std::size_t i) const {
+      return (*chunks_[i >> kChunkBits])[i & (kChunkSize - 1)].get();
+    }
+    std::array<std::unique_ptr<Chunk>, kMaxChunks> chunks_;
+    std::atomic<std::size_t> size_{0};
+  };
+
   void thread_main(ProcessState* ps);
   /// Find/extend a host with a free slot; returns {host, slot}.  mu_ held.
   std::pair<int, int> allocate_slot_locked(int preferred_host);
@@ -257,9 +299,11 @@ class Runtime {
   void dump_state() const;
 
   Options opt_;
-  mutable std::mutex mu_;  // guards procs_, hosts_, apps_, active_
+  // Serialises appends to procs_ and guards hosts_, host_failed_,
+  // host_substitute_, apps_ and active_.  Pid lookups do not take it.
+  mutable std::mutex mu_;
   std::condition_variable done_cv_;
-  std::vector<std::unique_ptr<ProcessState>> procs_;
+  ProcessTable procs_;
   std::vector<std::vector<bool>> hosts_;  // hosts_[h][s] = slot occupied
   std::vector<bool> host_failed_;         // failed nodes: slots unusable
   std::map<int, int> host_substitute_;    // failed host -> its spare replacement

@@ -10,8 +10,10 @@
 //   ... run ...
 //   for (const auto& e : rt.trace().events()) ...
 //
-// Tracing costs one mutexed append per event when on, nothing when off.
+// Tracing costs one mutexed append per event when on, and one relaxed
+// atomic load when off.
 
+#include <atomic>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -44,21 +46,15 @@ class Trace {
  public:
   void enable(std::size_t capacity = 65536) {
     std::lock_guard<std::mutex> lock(mu_);
-    enabled_ = true;
     capacity_ = capacity;
+    enabled_.store(true);
   }
-  void disable() {
-    std::lock_guard<std::mutex> lock(mu_);
-    enabled_ = false;
-  }
-  [[nodiscard]] bool enabled() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return enabled_;
-  }
+  void disable() { enabled_.store(false); }
+  [[nodiscard]] bool enabled() const { return enabled_.load(); }
 
   void record(double vtime, ProcId pid, TraceEvent event, long long value) {
+    if (!enabled_.load(std::memory_order_relaxed)) return;
     std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) return;
     if (events_.size() >= capacity_) return;  // bounded: drop the tail
     events_.push_back(TraceRecord{vtime, pid, event, value});
   }
@@ -84,8 +80,8 @@ class Trace {
   [[nodiscard]] std::string format() const;
 
  private:
-  mutable std::mutex mu_;
-  bool enabled_ = false;
+  mutable std::mutex mu_;  // guards capacity_ and events_
+  std::atomic<bool> enabled_{false};
   std::size_t capacity_ = 65536;
   std::vector<TraceRecord> events_;
 };

@@ -27,16 +27,18 @@ int comm_revoke(const Comm& c) {
   if (c.is_null()) return kErrComm;
   // The revoker observes its own revocation immediately.
   FTR_PSAN_SELF_REVOKE(c, "comm_revoke");
-  c.context()->revoked.store(true);
-  // Wake every blocked process so operations pending on this communicator
-  // observe the revocation.  (A real implementation floods a revoke token;
-  // we charge a comparable virtual cost to the caller.)
+  const bool first = !c.context()->revoked.exchange(true);
+  // A real implementation floods a revoke token; we charge a comparable
+  // virtual cost to every caller.
   const CostModel& cm = detail::rt().cost();
   detail::charge(cm.inter_host_latency +
                  static_cast<double>(c.group().size()) * cm.send_overhead);
   detail::rt().trace().record(detail::now(), detail::self().pid, TraceEvent::Revoke,
                               static_cast<long long>(c.context()->id));
-  detail::rt().notify_all_procs();
+  // Wake every blocked process so operations pending on this communicator
+  // observe the revocation.  Only the call that set the flag has anything
+  // to interrupt: once it is set, every waiter sees it at its next check.
+  if (first) detail::rt().notify_all_procs();
   return kSuccess;
 }
 
@@ -73,15 +75,6 @@ struct AgreeReply {
   int num_dead;
   // the dead pids follow in the payload
 };
-
-/// Live members of g in rank order, per global runtime truth.
-std::vector<int> live_ranks(const Group& g) {
-  std::vector<int> out;
-  for (int r = 0; r < g.size(); ++r) {
-    if (!detail::rt().is_dead(g.pids[static_cast<size_t>(r)])) out.push_back(r);
-  }
-  return out;
-}
 
 // --- tree-structured agreement ---------------------------------------------
 //
@@ -330,6 +323,11 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
         ctx->agree_decision.dead = dead;
       }
       ctx->agree_decided_round.store(round);
+      // A participant that restarted into a newer generation before the
+      // verdict was visible now waits on a tree nobody else builds: bump
+      // again so it restarts and adopts.  A bump after this load is after
+      // the publish, so whoever it restarts finds the verdict.
+      if (ctx->agree_gen.load() != gen) bump_agree_gen(ctx);
       down.resize(sizeof(TreeAgreeDownHead) + dead.size() * sizeof(ProcId));
       const TreeAgreeDownHead dh{gen, agreed, static_cast<std::int32_t>(dead.size())};
       std::memcpy(down.data(), &dh, sizeof(dh));
@@ -376,7 +374,7 @@ int comm_shrink(const Comm& c, Comm* out) {
   const ProcessState& me = detail::self();
 
   for (int attempt = 0; attempt <= g.size(); ++attempt) {
-    const std::vector<int> live = live_ranks(g);
+    const std::vector<int> live = detail::live_ranks(g);
     if (live.empty()) return kErrComm;
     const ProcId coord = g.pids[static_cast<size_t>(live[0])];
 
@@ -450,7 +448,7 @@ int comm_agree(const Comm& c, int* flag) {
   const ProcessState& me = detail::self();
 
   for (int attempt = 0; attempt <= g.size(); ++attempt) {
-    const std::vector<int> live = live_ranks(g);
+    const std::vector<int> live = detail::live_ranks(g);
     if (live.empty()) return kErrComm;
     const ProcId coord = g.pids[static_cast<size_t>(live[0])];
 

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "ftmpi/api.hpp"
@@ -236,6 +237,44 @@ TEST(FtmpiBasic, SequentialRunsOnOneRuntime) {
   rt.run("main", 5);
   EXPECT_EQ(launches.load(), 8);
   EXPECT_EQ(rt.total_processes(), 8);
+}
+
+// Pid lookups take no lock: the process table grows in fixed chunks whose
+// slots never move.  The world is larger than one 1024-slot chunk, and rank
+// 0's spawn crosses the next chunk boundary while every other rank is still
+// looking up every pid.
+TEST(FtmpiBasic, ProcessTableGrowsPastChunksUnderConcurrentLookups) {
+  constexpr int kSlots = 12;
+  constexpr int kWorld = 2040;   // 170 full hosts
+  constexpr int kChildren = 16;  // pids 2040..2055 cross 2048
+  constexpr int kTotal = kWorld + kChildren;
+  Runtime::Options opt;
+  opt.slots_per_host = kSlots;
+  opt.real_time_limit_sec = 120.0;
+  Runtime rt(opt);
+  std::atomic<int> bad{0};
+  rt.register_app("main", [&](const std::vector<std::string>& argv) {
+    Runtime& r = runtime();
+    const int n = r.total_processes();
+    if (n < kWorld || n > kTotal) ++bad;
+    for (ProcId p = 0; p < n; ++p) {
+      if (r.is_dead(p) || r.proc(p).pid != p || r.host_of(p) != p / kSlots) ++bad;
+    }
+    if (!argv.empty() && argv[0] == "child") return;
+    std::vector<SpawnUnit> units(1);
+    units[0] = {"main", {"child"}, kChildren, -1};
+    Comm inter;
+    ASSERT_EQ(comm_spawn_multiple(units, 0, world(), &inter), kSuccess);
+    ASSERT_EQ(comm_free(&inter), kSuccess);
+  });
+  EXPECT_EQ(rt.run("main", kWorld), 0);
+  EXPECT_EQ(bad.load(), 0);
+  ASSERT_EQ(rt.total_processes(), kTotal);
+  // Children fill the next free slots, so every pid sits on host pid / SLOTS.
+  for (ProcId p = 0; p < kTotal; ++p) EXPECT_EQ(rt.host_of(p), p / kSlots) << "pid " << p;
+  EXPECT_TRUE(rt.is_dead(kTotal));
+  EXPECT_TRUE(rt.is_dead(-1));
+  EXPECT_THROW((void)rt.proc(kTotal), std::out_of_range);
 }
 
 TEST(FtmpiBasic, ArgvReachesApplication) {

@@ -10,6 +10,7 @@
 
 #include "ftmpi/api.hpp"
 #include "ftmpi/runtime.hpp"
+#include "race_runs.hpp"
 
 using namespace ftmpi;
 
@@ -162,6 +163,39 @@ TEST(FtmpiFailures, RevokeInterruptsPendingRecv) {
   });
   rt.run("main", 2);
   EXPECT_EQ(code.load(), kErrRevoked);
+}
+
+// Unlike RevokeInterruptsPendingRecv, the revoker stays alive after its one
+// revoke, blocked on a dup until rank 0 answers, so no exit notification can
+// rescue a waiter that missed the revoke's wake-up.  A lost wake-up parks
+// both ranks and the 5 s watchdog aborts the binary.
+TEST(FtmpiFailures, RevokeWakesPendingRecvWhileRevokerLives) {
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 5.0;
+  for (int run = 0; run < ftr_test::kRaceRuns; ++run) {
+    Runtime rt(opt);
+    std::atomic<int> code{-1};
+    std::atomic<int> answer{-1};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      Comm dup;
+      ASSERT_EQ(comm_dup(w, &dup), kSuccess);
+      int v = 0;
+      if (w.rank() == 0) {
+        code = recv(&v, 1, 1, 0, w);  // rank 1 never sends on w
+        v = 1;
+        ASSERT_EQ(send(&v, 1, 1, 0, dup), kSuccess);
+      } else {
+        ASSERT_EQ(comm_revoke(w), kSuccess);
+        ASSERT_EQ(recv(&v, 1, 0, 0, dup), kSuccess);
+        answer = v;
+      }
+      ASSERT_EQ(comm_free(&dup), kSuccess);
+    });
+    rt.run("main", 2);
+    ASSERT_EQ(code.load(), kErrRevoked) << "run " << run;
+    ASSERT_EQ(answer.load(), 1) << "run " << run;
+  }
 }
 
 TEST(FtmpiFailures, OpsOnRevokedCommFail) {

@@ -9,6 +9,7 @@
 #include "ftmpi/api.hpp"
 #include "ftmpi/request.hpp"
 #include "ftmpi/runtime.hpp"
+#include "race_runs.hpp"
 
 using namespace ftmpi;
 
@@ -184,4 +185,37 @@ TEST(Nonblocking, ProbeWakesOnLateMessage) {
   });
   rt.run("main", 2);
   EXPECT_EQ(src.load(), 1);
+}
+
+// Unlike ProbeWakesOnLateMessage, the sender stays alive after its one send,
+// blocked on a dup until rank 0 answers, so no exit notification can rescue
+// a probe that missed the delivery.  A lost wake-up parks both ranks and the
+// 5 s watchdog aborts the binary.
+TEST(Nonblocking, ProbeWakesOnLateMessageWhileSenderLives) {
+  Runtime::Options opt;
+  opt.real_time_limit_sec = 5.0;
+  for (int run = 0; run < ftr_test::kRaceRuns; ++run) {
+    Runtime rt(opt);
+    std::atomic<int> answer{-1};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      Comm dup;
+      ASSERT_EQ(comm_dup(w, &dup), kSuccess);
+      int v = 0;
+      if (w.rank() == 0) {
+        Status st;
+        ASSERT_EQ(probe(kAnySource, kAnyTag, w, &st), kSuccess);
+        ASSERT_EQ(recv(&v, 1, st.source, st.tag, w), kSuccess);
+        ASSERT_EQ(send(&v, 1, 1, 0, dup), kSuccess);
+      } else {
+        v = 7;
+        ASSERT_EQ(send(&v, 1, 0, 2, w), kSuccess);
+        ASSERT_EQ(recv(&v, 1, 0, 0, dup), kSuccess);
+        answer = v;
+      }
+      ASSERT_EQ(comm_free(&dup), kSuccess);
+    });
+    rt.run("main", 2);
+    ASSERT_EQ(answer.load(), 7) << "run " << run;
+  }
 }
