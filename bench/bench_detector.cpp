@@ -1,15 +1,14 @@
 // Failure-detector benches (google-benchmark, *virtual* time via manual
 // timing): the detection-latency curve of the heartbeat ring + gossip
-// overlay, and the per-call agreement cost of the tree vs. the linear
-// coordinator protocol, each across several world sizes.
+// overlay, and the per-call cost of the tree agreement, each across several
+// world sizes.
 //
 // Unlike bench_micro these report modeled (virtual) seconds, which is the
 // quantity the detector design argues about: detection latency must stay
 // bounded as the world grows (the ring timeout plus O(log N) gossip hops,
-// never an O(N) sweep), and tree agreement must cost O(log N) hops against
-// the coordinator protocol's O(N).  Virtual time is deterministic, so these
-// curves are stable enough for the perf-regression gate
-// (tools/bench_to_json.py --max-regression).
+// never an O(N) sweep), and agreement must cost O(log N) tree hops.
+// Virtual time is deterministic, so these curves are stable enough for the
+// perf-regression gate (tools/bench_to_json.py --max-regression).
 
 #include <benchmark/benchmark.h>
 
@@ -82,13 +81,11 @@ void BM_DetectionLatency(benchmark::State& state) {
 BENCHMARK(BM_DetectionLatency)->Arg(8)->Arg(16)->Arg(32)->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Average virtual cost of one comm_agree over `nprocs` ranks, with the
-/// tree (Options::tree_protocols) or the linear coordinator protocol.
-double agree_cost_episode(int nprocs, bool tree) {
+/// Average virtual cost of one comm_agree over `nprocs` ranks.
+double agree_cost_episode(int nprocs) {
   ftmpi::Runtime::Options o;
   o.slots_per_host = nprocs;
   o.real_time_limit_sec = 120.0;
-  o.tree_protocols = tree;
   ftmpi::Runtime rt(o);
   std::atomic<double> cost{0.0};
   std::atomic<int> failures{0};
@@ -113,21 +110,11 @@ double agree_cost_episode(int nprocs, bool tree) {
 void BM_TreeAgreeCost(benchmark::State& state) {
   const int nprocs = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    state.SetIterationTime(agree_cost_episode(nprocs, /*tree=*/true));
+    state.SetIterationTime(agree_cost_episode(nprocs));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TreeAgreeCost)->Arg(8)->Arg(16)->Arg(32)->UseManualTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_LinearAgreeCost(benchmark::State& state) {
-  const int nprocs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.SetIterationTime(agree_cost_episode(nprocs, /*tree=*/false));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LinearAgreeCost)->Arg(8)->Arg(16)->Arg(32)->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

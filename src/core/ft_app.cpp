@@ -311,10 +311,18 @@ void FtApp::run_intervals_from(RankState& st, long start_interval) {
 
     // Overlapped recovery: when the loss pattern allows it, unaffected
     // grids keep stepping this interval while the repair runs behind them;
-    // on a successful handoff the interval is already complete.  A false
+    // on a successful handoff the interval is complete once the continuation
+    // grids, which hand off on READY wherever they stand, catch up to
+    // `target` (after the final interval nothing else would).  A false
     // return (no failure, non-overlappable pattern, or aborted overlap)
     // falls through to the classic stop-the-world detection point.
     if (cfg_.recovery == RecoveryPolicy::Overlap && try_overlap_recovery(st, i, step_rc)) {
+      const double t0 = ftmpi::wtime();
+      const int crc = solve_to(st, target);
+      st.solve_time += ftmpi::wtime() - t0;
+      if (crc != kSuccess) {
+        ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.overlap.revoke");
+      }
       continue;
     }
 
@@ -1371,7 +1379,7 @@ void FtApp::overlap_child(RankState& st) {
 }
 
 bool FtApp::overlap_adopt(RankState& st, ftmpi::Comm nworld, int leader_old,
-                          std::uint64_t epoch) {
+                          [[maybe_unused]] std::uint64_t epoch) {
   // This rank has acked the doorbell: the pre-handoff world (and the side
   // comm of the attempt) is dead weight from here on.  Under FTR_PSAN a
   // straggler collective on either context aborts with a pinned diagnostic.
@@ -1497,7 +1505,7 @@ void FtApp::recovery_and_combine(RankState& st) {
   // solution; push it back onto the lost groups.  Degraded runs skip this:
   // the lost groups are incomplete (their survivors idle), so the recovered
   // data lives only in the combined solution.
-  if (tech == Technique::AlternateCombination && cfg_.scatter_recovered && !st.degraded) {
+  if (tech == Technique::AlternateCombination && !st.degraded) {
     for (int gid : lost_now) {
       const Level lv = layout_.slots[static_cast<size_t>(gid)].level;
       if (st.wrank == 0) {
@@ -1542,7 +1550,7 @@ void FtApp::recovery_and_combine(RankState& st) {
   if (st.wrank == 0) {
     ftmpi::Runtime& rt = ftmpi::runtime();
     rt.put(keys::kCombineTime, ftmpi::wtime() - t_comb);
-    if (cfg_.measure_error && !combined.data().empty()) {
+    if (!combined.data().empty()) {
       const double t_final = static_cast<double>(cfg_.timesteps) * st.dt;
       const double err = ftr::grid::l1_error(combined, [&](double x, double y) {
         return cfg_.problem.exact(x, y, t_final);

@@ -132,11 +132,6 @@ struct AppConfig {
   /// one interval.
   long checkpoints = 3;
   FailurePlan failures;
-  /// Push recovered data back onto the lost grids' groups (exercises the
-  /// full recovery path; costs a scatter per lost grid).
-  bool scatter_recovered = true;
-  /// Compute the combined solution and its l1 error at world rank 0.
-  bool measure_error = true;
   /// Non-empty: back the checkpoint store with real files under this
   /// directory (removed on destruction) instead of memory.  I/O *costs*
   /// are identical — they come from the cluster profile either way.

@@ -14,6 +14,18 @@ using namespace ftmpi::compat;
 
 namespace {
 
+/// Retry budget of repair(): how many times one failure detection may
+/// restart from revoke when the repair itself is hit by further failures.
+constexpr int kMaxRepairAttempts = 10;
+/// Virtual-time backoff before the second repair attempt; multiplied by
+/// kBackoffFactor after each further attempt.  Identical on every survivor,
+/// so the backoff keeps their virtual clocks in step.
+constexpr double kBackoffBase = 1e-4;
+constexpr double kBackoffFactor = 2.0;
+/// Bound on the Fig. 3 do-while: each verified-then-failed-again
+/// communicator consumes one iteration.
+constexpr int kMaxReconstructIterations = 32;
+
 /// The paper's mpiErrorHandler (Fig. 4): acknowledge the failures known on
 /// the communicator.  (The paper notes a small delay is sometimes needed in
 /// the beta ULFM; our runtime has no such race.)
@@ -183,7 +195,7 @@ int Reconstructor::repair_once(ftmpi::Comm& broken, ReconstructResult& out) {
   const int rank_key =
       select_rank_key(shrunken.rank(), shrunken.size(), failed_ranks, total_procs);
   rc = respawn(shrunken, failed_ranks, rank_key, out.timings, &out.comm);
-  if (rc == MPI_ERR_SPAWN && cfg_.allow_shrink_fallback) {
+  if (rc == MPI_ERR_SPAWN) {
     // Graceful degradation: the cluster has no room for replacements
     // (kErrSpawn is decided by the spawn root and delivered uniformly), so
     // recovery continues on the shrunken communicator itself.  The caller
@@ -206,16 +218,16 @@ int Reconstructor::repair(ftmpi::Comm& broken, ReconstructResult& out) {
   // observed uniformly by all survivors (see ARCHITECTURE.md), so they
   // restart from revoke in lockstep.  The backoff is charged to virtual
   // time, mirroring a real implementation yielding before re-probing.
-  double backoff = cfg_.backoff_base;
+  double backoff = kBackoffBase;
   int rc = MPI_ERR_PROC_FAILED;
-  for (int attempt = 1; attempt <= cfg_.max_repair_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxRepairAttempts; ++attempt) {
     ++out.attempts;
     rc = repair_once(broken, out);
     if (rc == MPI_SUCCESS) return rc;
     FTR_WARN("repair: attempt %d/%d failed (%s); restarting from revoke after %.2e s",
-             attempt, cfg_.max_repair_attempts, ftmpi::error_string(rc), backoff);
+             attempt, kMaxRepairAttempts, ftmpi::error_string(rc), backoff);
     ftmpi::advance(backoff);
-    backoff *= cfg_.backoff_factor;
+    backoff *= kBackoffFactor;
   }
   out.exhausted = true;
   return rc;
@@ -329,9 +341,9 @@ ReconstructResult Reconstructor::reconstruct(ftmpi::Comm my_world) {
       failure = true;
     }
     ++iter_counter;
-    if (failure && iter_counter >= cfg_.max_reconstruct_iterations) {
+    if (failure && iter_counter >= kMaxReconstructIterations) {
       FTR_ERROR("reconstruct: iteration budget exhausted (%d); giving up",
-                cfg_.max_reconstruct_iterations);
+                kMaxReconstructIterations);
       out.exhausted = true;
       break;
     }

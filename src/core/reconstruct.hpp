@@ -104,22 +104,6 @@ class Reconstructor {
     std::string app_name;
     /// argv passed to respawned processes (the paper forwards argv).
     std::vector<std::string> argv;
-    /// Retry budget of repair(): how many times one failure detection may
-    /// restart from revoke when the repair itself is hit by further
-    /// failures.
-    int max_repair_attempts = 10;
-    /// Virtual-time backoff before the second repair attempt; multiplied by
-    /// `backoff_factor` after each further attempt.  Identical on every
-    /// survivor, so the backoff keeps their virtual clocks in step.
-    double backoff_base = 1e-4;
-    double backoff_factor = 2.0;
-    /// Bound on the Fig. 3 do-while: each verified-then-failed-again
-    /// communicator consumes one iteration.
-    int max_reconstruct_iterations = 32;
-    /// Fall back to shrink-mode recovery when replacements cannot be
-    /// placed (kErrSpawn).  When false, kErrSpawn consumes retry attempts
-    /// like any other failure and eventually exhausts the budget.
-    bool allow_shrink_fallback = true;
   };
 
   explicit Reconstructor(Config cfg) : cfg_(std::move(cfg)) {}
@@ -128,7 +112,7 @@ class Reconstructor {
   /// their current world when a failure is suspected (or to probe);
   /// children (respawned processes) call it with a null comm immediately
   /// after startup.  Loops until a barrier over the reconstructed
-  /// communicator succeeds, up to Config::max_reconstruct_iterations.
+  /// communicator succeeds, within a bounded iteration budget.
   ReconstructResult reconstruct(ftmpi::Comm my_world);
 
   /// The paper's failedProcsList (Fig. 6): identify failed ranks by group
@@ -156,8 +140,8 @@ class Reconstructor {
 
  private:
   /// The paper's repairComm (Fig. 5) wrapped in the bounded retry loop:
-  /// calls repair_once() until it succeeds (possibly degraded) or
-  /// Config::max_repair_attempts is spent, backing off between attempts.
+  /// calls repair_once() until it succeeds (possibly degraded) or the retry
+  /// budget is spent, backing off between attempts.
   int repair(ftmpi::Comm& broken, ReconstructResult& out);
   /// One pass of Fig. 5, restartable: revoke -> shrink -> respawn().
   /// Intermediate communicators and Info objects are released on every

@@ -8,7 +8,7 @@
 //   ----------------------   ------------------------------------------
 //   MPI_Comm_rank/size       Comm::rank()/size(), or compat wrappers
 //   MPI_Send/Recv            send()/recv()
-//   MPI_Barrier/Bcast/...    barrier()/bcast()/reduce()/gather()/...
+//   MPI_Barrier/Bcast/...    barrier()/bcast()/allreduce()/gather()/...
 //   MPI_Comm_split/dup       comm_split()/comm_dup()
 //   MPI_Comm_spawn_multiple  comm_spawn_multiple()
 //   MPI_Intercomm_merge      intercomm_merge()
@@ -268,10 +268,6 @@ void combine_bytes(void* acc, const void* in, int count, ReduceOp op) {
 /// Type-erased element-wise combine used by the tree allreduce.
 using CombineBytesFn = void (*)(void* acc, const void* in, int count, ReduceOp op);
 
-/// True when the runtime routes allreduce and comm_agree through the
-/// log-depth tree protocols (Runtime::Options::tree_protocols).
-[[nodiscard]] bool tree_collectives_enabled();
-
 /// Fault-tolerant log-depth allreduce: partial vectors reduce up a binary
 /// tree built over the live members, the root folds the outcome, and result
 /// plus outcome flood back down with re-routing around dead interior nodes.
@@ -281,38 +277,11 @@ FTR_NODISCARD int allreduce_bytes_tree(void* buf, std::size_t elem_size, int cou
                                        ReduceOp op, CombineBytesFn combine, const Comm& c);
 
 template <class T>
-FTR_NODISCARD int reduce(const T* sendbuf, T* recvbuf, int count, ReduceOp op, int root, const Comm& c) {
-  static_assert(std::is_arithmetic_v<T>);
-  std::vector<std::vector<std::byte>> parts;
-  const int rc = gather_bytes(sendbuf, sizeof(T) * static_cast<std::size_t>(count),
-                              c.rank() == root ? &parts : nullptr, root, c);
-  if (rc != kSuccess) return rc;
-  if (c.rank() == root) {
-    for (int i = 0; i < count; ++i) recvbuf[i] = sendbuf[i];
-    for (int r = 0; r < c.size(); ++r) {
-      if (r == root) continue;
-      const auto& p = parts[static_cast<size_t>(r)];
-      for (int i = 0; i < count; ++i) {
-        T v{};
-        std::memcpy(&v, p.data() + sizeof(T) * static_cast<std::size_t>(i), sizeof(T));
-        recvbuf[i] = detail_reduce::combine(op, recvbuf[i], v);
-      }
-    }
-  }
-  return kSuccess;
-}
-
-template <class T>
 FTR_NODISCARD int allreduce(const T* sendbuf, T* recvbuf, int count, ReduceOp op, const Comm& c) {
   static_assert(std::is_arithmetic_v<T>);
-  if (!c.is_null() && !c.is_inter() && tree_collectives_enabled()) {
-    for (int i = 0; i < count; ++i) recvbuf[i] = sendbuf[i];
-    return allreduce_bytes_tree(recvbuf, sizeof(T), count, op,
-                                &detail_reduce::combine_bytes<T>, c);
-  }
-  int rc = reduce(sendbuf, recvbuf, count, op, 0, c);
-  if (rc != kSuccess) return rc;
-  return bcast(recvbuf, count, 0, c);
+  for (int i = 0; i < count; ++i) recvbuf[i] = sendbuf[i];
+  return allreduce_bytes_tree(recvbuf, sizeof(T), count, op, &detail_reduce::combine_bytes<T>,
+                              c);
 }
 
 template <class T>

@@ -23,8 +23,6 @@ int validate_intra(const Comm& c, int root) {
 
 }  // namespace
 
-bool tree_collectives_enabled() { return detail::rt().options().tree_protocols; }
-
 int allreduce_bytes_tree(void* buf, std::size_t elem_size, int count, ReduceOp op,
                          CombineBytesFn combine, const Comm& c) {
   // Log-depth fault-tolerant allreduce: partial vectors reduce up a binary

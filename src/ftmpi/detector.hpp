@@ -46,8 +46,9 @@ namespace detector {
 /// Tuning knobs (Runtime::Options::detector).  All times are virtual
 /// seconds.
 struct Options {
-  /// Run the heartbeat ring (default).  Off short-circuits every hook, so
-  /// the runtime behaves bit-for-bit like the pre-detector code.
+  /// Run the heartbeat ring (default).  Off short-circuits every hook: no
+  /// heartbeats or gossip are sent, and failures are learned from the
+  /// transport alone.
   bool enabled = true;
   /// Heartbeat period.  Deliberately long relative to microsecond-scale
   /// unit-test workloads: a run whose virtual clocks never cross a period

@@ -71,7 +71,7 @@ struct Shadow {
 
 // The whole simulated cluster lives in one process, so a single table keyed
 // by (runtime, pid, context id) sees every rank — which is what lets the
-// agree coordinator print the other side of a divergence.  The runtime
+// agree root print the other side of a divergence.  The runtime
 // component matters because a test binary runs many Runtime instances in
 // sequence and both pids and context ids restart at the same values in each
 // one; without it a fresh cluster would inherit the previous cluster's

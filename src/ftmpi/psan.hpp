@@ -26,7 +26,7 @@
 //   - a rolling FNV-1a hash of the collective-call sequence issued on the
 //     context, plus a short ring of recent call sites.  comm_agree
 //     piggybacks {flag, hash, failure-epoch} on its existing payload; the
-//     agree coordinator compares the streams of all members and aborts with
+//     agree root compares the streams of all members and aborts with
 //     a per-rank divergence trace on mismatch.  Verification is skipped
 //     (never faked) whenever the result could be stale: a dead member, a
 //     revoked communicator, an unconfirmed member, or members that sent
@@ -50,17 +50,7 @@ struct Group;
 
 namespace psan {
 
-/// Wire format of the agree uplink under FTR_PSAN (replaces the plain int
-/// flag).  Trivially copyable; both sides of the protocol are compiled with
-/// the same FTR_PSAN setting, so the payload layout always matches.
-struct AgreeWire {
-  int flag = 0;
-  int pad = 0;
-  std::uint64_t hash = 0;
-  std::uint64_t epoch = 0;
-};
-
-/// One member's report as collected by the agree coordinator.
+/// One member's report as collected by the agree root.
 struct AgreeReport {
   int rank = -1;
   ProcId pid = kNullProc;
@@ -95,9 +85,9 @@ std::uint64_t stream_hash(const Comm& c);
 /// The runtime's current failure epoch as seen by the calling rank.
 std::uint64_t current_epoch();
 
-/// Coordinator-side hash comparison at agree.  `reports` must include the
-/// coordinator's own entry; `no_dead` is the emptiness of the dead-member
-/// list the coordinator just computed for the agreement group.  Aborts with
+/// Root-side hash comparison at agree.  `reports` must include the root's
+/// own entry; `no_dead` is the emptiness of the dead-member list the root
+/// just computed for the agreement group.  Aborts with
 /// a per-rank divergence trace on mismatch; on a verified match resets every
 /// member's stream (callers are still blocked on the agree reply, so their
 /// streams are quiescent).

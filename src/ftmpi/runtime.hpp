@@ -111,11 +111,6 @@ class Runtime {
     /// Failure-detector knobs.  The constructor clamps the thresholds so
     /// that period <= suspect_after < confirm_after.
     detector::Options detector{};
-    /// Log-depth tree topology for comm_agree and allreduce (the default).
-    /// False restores the coordinator-based protocols; combined with
-    /// detector.enabled = false that is bit-for-bit the pre-detector
-    /// runtime.
-    bool tree_protocols = true;
   };
 
   /// Entry point of a simulated MPI application; runs on each rank thread.

@@ -54,8 +54,6 @@ inline constexpr int kSplitUp = kReservedTagBound - 8;
 inline constexpr int kSplitDown = kReservedTagBound - 9;
 inline constexpr int kShrinkUp = kReservedTagBound - 10;
 inline constexpr int kShrinkDown = kReservedTagBound - 11;
-inline constexpr int kAgreeUp = kReservedTagBound - 12;
-inline constexpr int kAgreeDown = kReservedTagBound - 13;
 inline constexpr int kSpawnInfo = kReservedTagBound - 14;
 inline constexpr int kSpawnAck = kReservedTagBound - 15;
 inline constexpr int kMergeInfo = kReservedTagBound - 16;

@@ -1,16 +1,18 @@
 // ULFM extensions: revoke, shrink, agree, failure acknowledgement.
 //
-// Shrink and agree are coordinator-based: the lowest-ranked *live* member
-// collects a message from every survivor and distributes the result.  If the
+// Shrink is coordinator-based: the lowest-ranked *live* member collects a
+// message from every survivor and distributes the result.  If the
 // coordinator itself dies mid-protocol, survivors detect it (their receive
 // fails) and retry with the next-lowest live rank; the retry loop terminates
 // because the coordinator index is monotonically increasing and failures are
-// finite.  Both operations work on revoked communicators, as ULFM requires.
+// finite.  Agree runs over a binary tree of the live members and rebuilds
+// the tree around a death (see agree_tree).  Both operations work on revoked
+// communicators, as ULFM requires.
 //
 // The draft-ULFM implementation the paper measured ran disproportionately
 // long consensus work per failure (Table I); charge_coordinator_rounds
-// models that chatter in virtual time at the coordinator, and the inflated
-// clock propagates to every survivor through the result message.
+// models that chatter in virtual time at the shrink coordinator, and the
+// inflated clock propagates to every survivor through the result message.
 
 #include <algorithm>
 
@@ -70,20 +72,12 @@ struct ShrinkReply {
   std::uint64_t ctx_id;
 };
 
-struct AgreeReply {
-  int flag;
-  int num_dead;
-  // the dead pids follow in the payload
-};
-
 // --- tree-structured agreement ---------------------------------------------
 //
-// Log-depth replacement for the linear uplink: the survivors form a binary
-// tree over the live rank list (node i's children are 2i+1 and 2i+2, the
-// root is the lowest live rank — the same process the linear protocol
-// elects as coordinator).  Entries flow up the tree, the root computes the
-// verdict (and runs the psan stream verification exactly like the linear
-// coordinator), and the verdict floods back down.  A participant that
+// The survivors form a binary tree over the live rank list (node i's
+// children are 2i+1 and 2i+2, the root is the lowest live rank).  Entries
+// flow up the tree, the root computes the verdict (and runs the psan stream
+// verification), and the verdict floods back down.  A participant that
 // observes a failure bumps the context's agree_gen; every in-flight wait
 // carries the old generation and returns kErrPending, so the whole cohort
 // rebuilds the tree over the current survivors — the parent re-routing
@@ -146,7 +140,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
     *flag = agreed;
     c.local().agree_round = round + 1;
     // Uniform result: an error is reported iff there are failures this
-    // process has not acknowledged yet (identical to the linear protocol).
+    // process has not acknowledged yet.
     for (ProcId p : dead) {
       if (!c.local().acked.contains(p)) return finish(c, kErrProcFailed);
     }
@@ -245,8 +239,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
 
     // Per-node agreement work is proportional to this node's degree — the
     // tree links it matches and folds, not its subtree's population — so the
-    // protocol's critical path is O(log N): unlike the linear coordinator,
-    // which pays charge_coordinator_rounds over the whole group.
+    // protocol's critical path is O(log N).
     int degree = (mi != 0) ? 1 : 0;  // parent link
     for (int k = 1; k <= 2; ++k) {
       if (2 * static_cast<size_t>(mi) + static_cast<size_t>(k) < live.size()) ++degree;
@@ -304,8 +297,8 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
       for (const TreeAgreeEntry& e : entries) agreed &= e.flag;
       const std::vector<ProcId> dead = detail::rt().dead_members(g);
 #ifdef FTR_PSAN
-      // Same contract as the linear coordinator: every contributor is still
-      // blocked on the verdict, so its stream cannot advance under us.
+      // Every contributor is still blocked on the verdict, so its stream
+      // cannot advance under us.
       std::vector<psan::AgreeReport> reports;
       reports.reserve(entries.size());
       for (const TreeAgreeEntry& e : entries) {
@@ -434,7 +427,6 @@ int comm_agree(const Comm& c, int* flag) {
   chaos_point("agree");
   if (c.is_null()) return kErrComm;
 
-  const std::uint64_t id = c.context()->id;
   // On an intercommunicator, agreement spans both groups (ULFM semantics;
   // the paper's repair protocol calls agree on the parent/child intercomm).
   Group g = c.group();
@@ -444,95 +436,7 @@ int comm_agree(const Comm& c, int* flag) {
                   c.context()->group[1].pids.end());
     g = std::move(u);
   }
-  if (detail::rt().options().tree_protocols) return agree_tree(c, flag, g);
-  const ProcessState& me = detail::self();
-
-  for (int attempt = 0; attempt <= g.size(); ++attempt) {
-    const std::vector<int> live = detail::live_ranks(g);
-    if (live.empty()) return kErrComm;
-    const ProcId coord = g.pids[static_cast<size_t>(live[0])];
-
-    if (coord == me.pid) {
-      int agreed = *flag;
-      std::vector<int> confirmed{live[0]};
-#ifdef FTR_PSAN
-      std::vector<psan::AgreeReport> reports;
-      reports.push_back({live[0], me.pid, psan::stream_hash(c), psan::current_epoch()});
-#endif
-      for (size_t i = 1; i < live.size(); ++i) {
-        const ProcId p = g.pids[static_cast<size_t>(live[i])];
-        std::vector<std::byte> payload;
-        if (detail::ctrl_recv(p, id, tags::kAgreeUp, &payload) == kSuccess) {
-#ifdef FTR_PSAN
-          const auto up = detail::unpack<psan::AgreeWire>(payload);
-          agreed &= up.flag;
-          reports.push_back({live[i], p, up.hash, up.epoch});
-#else
-          agreed &= detail::unpack<int>(payload);
-#endif
-          confirmed.push_back(live[i]);
-        }
-      }
-      detail::charge_coordinator_rounds(2, static_cast<int>(confirmed.size()));
-
-      const std::vector<ProcId> dead = detail::rt().dead_members(g);
-#ifdef FTR_PSAN
-      // Verify (and on success reset) the collective streams before any
-      // reply goes out: every confirmed member is still blocked on the
-      // verdict, so its stream cannot advance under us.
-      psan::verify_at_agree(c, g, reports, dead.empty());
-#endif
-      std::vector<std::byte> reply(sizeof(AgreeReply) + dead.size() * sizeof(ProcId));
-      const AgreeReply head{agreed, static_cast<int>(dead.size())};
-      std::memcpy(reply.data(), &head, sizeof(head));
-      if (!dead.empty()) {
-        std::memcpy(reply.data() + sizeof(head), dead.data(), dead.size() * sizeof(ProcId));
-      }
-      for (size_t i = 1; i < confirmed.size(); ++i) {
-        // A confirmed member that died before its verdict retries with the
-        // next coordinator; keep delivering to the rest.
-        ftr::observe_error(
-            detail::ctrl_send(g.pids[static_cast<size_t>(confirmed[i])], id,
-                              tags::kAgreeDown, reply.data(), reply.size()),
-            "agree.reply");
-      }
-      *flag = agreed;
-      detail::rt().trace().record(detail::now(), me.pid, TraceEvent::Agree, agreed);
-      // Uniform result: an error is reported iff there are failures this
-      // process has not acknowledged yet.
-      for (ProcId p : dead) {
-        if (!c.local().acked.contains(p)) return finish(c, kErrProcFailed);
-      }
-      return kSuccess;
-    }
-
-#ifdef FTR_PSAN
-    const psan::AgreeWire up{*flag, 0, psan::stream_hash(c), psan::current_epoch()};
-    if (detail::ctrl_send(coord, id, tags::kAgreeUp, &up, sizeof(up)) != kSuccess) {
-      continue;
-    }
-#else
-    if (detail::ctrl_send(coord, id, tags::kAgreeUp, flag, sizeof(*flag)) != kSuccess) {
-      continue;
-    }
-#endif
-    std::vector<std::byte> payload;
-    if (detail::ctrl_recv(coord, id, tags::kAgreeDown, &payload) != kSuccess) {
-      continue;
-    }
-    AgreeReply head{};
-    std::memcpy(&head, payload.data(), sizeof(head));
-    *flag = head.flag;
-    std::vector<ProcId> dead(static_cast<size_t>(head.num_dead));
-    if (head.num_dead > 0) {
-      std::memcpy(dead.data(), payload.data() + sizeof(head), dead.size() * sizeof(ProcId));
-    }
-    for (ProcId p : dead) {
-      if (!c.local().acked.contains(p)) return finish(c, kErrProcFailed);
-    }
-    return kSuccess;
-  }
-  return kErrComm;
+  return agree_tree(c, flag, g);
 }
 
 }  // namespace ftmpi

@@ -54,9 +54,10 @@ ftmpi::Runtime::Options rt_opts() {
   return o;
 }
 
-double clean_error() {
+double clean_error(Technique tech = Technique::CheckpointRestart) {
   ftmpi::Runtime rt(rt_opts());
   AppConfig cfg = overlap_app();
+  cfg.layout.technique = tech;
   cfg.recovery = RecoveryPolicy::Technique;
   FtApp app(cfg);
   app.launch(rt);
@@ -156,9 +157,13 @@ TEST(OverlapRecovery, MinorityKillHandsOffAndMatchesCleanError) {
 TEST(OverlapRecovery, AcMinorityKillHandsOffAtItsOnlyDetectionPoint) {
   // The same minority kill on an AC layout: AC runs one interval, so the
   // overlap engages at the single detection point before the combination
-  // and hands off there.  The answer is not yet compared with the clean
-  // run: a handoff in the final interval lets continuation grids reach the
-  // combination short of `timesteps`, a known defect.
+  // and hands off there.  Continuation grids hand off on READY wherever
+  // they stand and must still reach `timesteps` before the combination;
+  // the repair side recomputes the lost grid exactly, so the answer equals
+  // the clean AC run's.
+  const double err_clean = clean_error(Technique::AlternateCombination);
+  ASSERT_GE(err_clean, 0.0);
+
   AppConfig cfg = overlap_app();
   cfg.layout.technique = Technique::AlternateCombination;
   cfg.failures.kill_at_step[5] = 10;
@@ -168,7 +173,9 @@ TEST(OverlapRecovery, AcMinorityKillHandsOffAtItsOnlyDetectionPoint) {
   EXPECT_GE(rt.get(keys::kOverlapHandoffs, -1), 1.0);
   EXPECT_EQ(rt.get(keys::kOverlapAborts, 0), 0.0);
   EXPECT_DOUBLE_EQ(rt.get(keys::kRepairs, -1), 1.0);
-  EXPECT_GE(rt.get(keys::kErrorL1, -1), 0.0);
+  const double err = rt.get(keys::kErrorL1, -1);
+  ASSERT_GE(err, 0.0);
+  EXPECT_NEAR(err, err_clean, 1e-12);
 }
 
 TEST(OverlapRecovery, PlannerPolicyPinsClassicPath) {

@@ -195,13 +195,3 @@ TEST(FtAppEdge, BlackboardIsComplete) {
   EXPECT_DOUBLE_EQ(rt.get(keys::kProcs, 0),
                    static_cast<double>(app.layout().total_procs));
 }
-
-TEST(FtAppEdge, ScatterRecoveredCanBeDisabled) {
-  ftmpi::Runtime rt(rt_opts());
-  AppConfig cfg = small_app(Technique::AlternateCombination);
-  cfg.scatter_recovered = false;
-  cfg.failures.simulated_lost_grids = {2};
-  FtApp app(cfg);
-  EXPECT_EQ(app.launch(rt), 0);
-  EXPECT_GE(rt.get(keys::kErrorL1, -1), 0.0);
-}

@@ -184,6 +184,28 @@ TEST(FtmpiBasic, AllreduceSum) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
+TEST(FtmpiBasic, AllreduceRejectsIntercommAndNullComm) {
+  // allreduce is an intracommunicator collective: an intercommunicator and
+  // a null handle both fail with kErrComm instead of reducing anything.
+  Runtime rt(small_opts());
+  std::atomic<int> bad{0};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    const bool low = w.rank() < w.size() / 2;
+    Comm half;
+    ASSERT_EQ(comm_split(w, low ? 0 : 1, w.rank(), &half), kSuccess);
+    Comm inter;
+    ASSERT_EQ(intercomm_create(half, 0, w, low ? w.size() / 2 : 0, 7, &inter), kSuccess);
+    ASSERT_TRUE(inter.is_inter());
+    const int v = 1;
+    int out = 0;
+    if (allreduce(&v, &out, 1, ReduceOp::Sum, inter) != kErrComm) ++bad;
+    if (allreduce(&v, &out, 1, ReduceOp::Sum, Comm{}) != kErrComm) ++bad;
+  });
+  rt.run("main", 6);
+  EXPECT_EQ(bad.load(), 0);
+}
+
 TEST(FtmpiBasic, CommSplitByParity) {
   Runtime rt(small_opts());
   std::atomic<int> bad{0};

@@ -53,11 +53,6 @@ RunResult run_app(Technique t, const std::vector<int>& lost,
   opts.slots_per_host = profile.slots_per_host;
   opts.cost = profile.cost;
   opts.cost.cell_update_rate = cell_rate;  // paper-like step/IO ratio
-  // These invariants reproduce the paper's measured curves, whose recovery
-  // costs assume the linear (coordinator) agreement the paper's Open MPI
-  // prototype used — the log-depth tree protocols would shift the Fig. 9b
-  // crossover.
-  opts.tree_protocols = false;
   ftmpi::Runtime rt(opts);
   FtApp app(cfg);
   app.launch(rt);

@@ -71,7 +71,6 @@ Usage:
   ftlint.py --format sarif ...                 # SARIF 2.1.0 (code scanning)
   ftlint.py --report fiber --root src          # fiber-readiness inventory
   ftlint.py --report flow --root src           # message-flow inventory
-  ftlint.py --jobs 8 --cache .ftlint-cache ... # parallel scan + result cache
 
 Exit status: 0 = clean, 1 = findings, 2 = usage or internal error.  The
 contract is strict in both directions: a crashed engine exits 2, never 0 —
@@ -81,7 +80,6 @@ contract is strict in both directions: a crashed engine exits 2, never 0 —
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -147,49 +145,6 @@ def _render_sarif(findings: list["ftlint_lex.Finding"]) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _cache_key(files: list[str], rules: set[str]) -> str:
-    """Content hash of the whole run: engine version + rule set + every
-    input file's bytes.  The cache is deliberately whole-run, not per-file:
-    FTL003/005/006/008-010 are interprocedural, so one edited file can
-    change findings in files that did not change — per-file finding caches
-    would be unsound.  Whole-run is exactly what CI needs anyway: on an
-    unchanged tree the lint job replays instantly."""
-    h = hashlib.sha256()
-    h.update(ftlint_lex.ENGINE_VERSION.encode())
-    h.update(repr(sorted(rules)).encode())
-    for path in files:
-        h.update(path.encode())
-        with open(path, "rb") as fh:
-            h.update(hashlib.sha256(fh.read()).digest())
-    return h.hexdigest()
-
-
-def _cache_load(path: str, key: str) -> list["ftlint_lex.Finding"] | None:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("key") != key:
-            return None
-        return [ftlint_lex.Finding(p, l, r, m)
-                for p, l, r, m in data["findings"]]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None  # missing/corrupt cache == miss
-
-
-def _cache_store(path: str, key: str,
-                 findings: list["ftlint_lex.Finding"]) -> None:
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": key,
-                       "findings": [[f.path, f.line, f.rule, f.message]
-                                    for f in findings]}, fh)
-        os.replace(tmp, path)
-    except OSError as e:
-        print(f"ftlint: warning: could not write cache {path}: {e}",
-              file=sys.stderr)
-
-
 def run_checker(args) -> int:
     rules = {r.strip() for r in args.rules.split(",") if r.strip()}
     bad = rules - set(ftlint_lex.RULE_IDS)
@@ -208,13 +163,11 @@ def run_checker(args) -> int:
         # deliberately crashed engine must surface as exit 2, not 0.
         raise RuntimeError("FTLINT_INJECT_CRASH set: simulated engine crash")
 
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-
+    engine = ftlint_lex.Engine(files)
     if args.report == "fiber":
         # Inventory mode: the blocking/affinity/shared-state map for the
         # fiber-scheduler refactor.  Informational — always exits 0.
         import ftfiber
-        engine = ftlint_lex.Engine(files, jobs=jobs)
         print(json.dumps(ftfiber.fiber_report(engine), indent=2))
         return 0
 
@@ -222,28 +175,10 @@ def run_checker(args) -> int:
         # Inventory mode: the interprocedural message-flow map (may-block
         # closure, rank-dependent branches, wait-for cycles, wire taint).
         import ftflow
-        engine = ftlint_lex.Engine(files, jobs=jobs)
         print(json.dumps(ftflow.flow_report(engine), indent=2))
         return 0
 
-    key = None
-    if args.cache:
-        key = _cache_key(files, rules)
-        cached = _cache_load(args.cache, key)
-        if cached is not None:
-            print(f"ftlint: cache hit ({len(files)} files unchanged)",
-                  file=sys.stderr)
-            return _emit(cached, files, args)
-
-    engine = ftlint_lex.Engine(files, jobs=jobs)
     findings = engine.run(rules)
-
-    if key is not None:
-        _cache_store(args.cache, key, findings)
-    return _emit(findings, files, args)
-
-
-def _emit(findings, files, args) -> int:
     if args.format == "sarif":
         print(_render_sarif(findings))
     else:
@@ -277,13 +212,6 @@ def main(argv: list[str] | None = None) -> int:
                          "for the fiber-scheduler refactor; `flow` = the "
                          "interprocedural message-flow map (may-block set, "
                          "wait-for cycles, wire taint) (JSON, exit 0)")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="parallel file-scan workers (0 = all cores; "
-                         "default 1)")
-    ap.add_argument("--cache", default=None, metavar="PATH",
-                    help="whole-run result cache file: replay findings when "
-                         "the engine, rule set, and every input file are "
-                         "byte-identical to the cached run")
     ap.add_argument("files", nargs="*", help="extra files to lint")
     args = ap.parse_args(argv)
 

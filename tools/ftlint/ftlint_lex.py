@@ -21,9 +21,9 @@ RULE_IDS = ("FTL000", "FTL001", "FTL002", "FTL003", "FTL004", "FTL005",
             "FTL006", "FTL007", "FTL008", "FTL009", "FTL010", "FTL011",
             "FTL012", "FTL013")
 
-# Bumped whenever tokenization or any rule's semantics change, so a stale
-# on-disk result cache (ftlint.py --cache) can never replay findings
-# produced by an older engine.
+# Bumped whenever tokenization or any rule's semantics change; the SARIF
+# report names it as the tool version, so findings can be traced to the
+# engine that produced them.
 ENGINE_VERSION = "lex-4"
 
 # Keywords/punctuation that precede a *discarded* expression-statement call:
@@ -272,21 +272,6 @@ def _load_source(path: str) -> SourceFile:
         return SourceFile(path, fh.read())
 
 
-def load_sources(files: list[str], jobs: int = 1) -> list[SourceFile]:
-    """Tokenize `files`, fanning out over `jobs` worker processes when asked.
-
-    Tokenization is the engine's dominant cost and is perfectly parallel per
-    file (every cross-file structure — registries, call graph, summaries —
-    is built afterwards from the token streams).  SourceFile/Token pickle
-    cleanly, so a process pool is enough; order is preserved."""
-    if jobs <= 1 or len(files) < 4:
-        return [_load_source(p) for p in files]
-    import concurrent.futures
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_load_source, files,
-                             chunksize=max(1, len(files) // (jobs * 4))))
-
-
 def _leftward(sf: SourceFile, s: int):
     """Classify what sits to the left of the expression starting at token s.
 
@@ -394,8 +379,8 @@ def _verdict_observed(sf: SourceFile, name_idx: int) -> bool:
 class Engine:
     """Runs the lexer-engine rules over a set of files."""
 
-    def __init__(self, files: list[str], jobs: int = 1):
-        self.sources: list[SourceFile] = load_sources(files, jobs)
+    def __init__(self, files: list[str]):
+        self.sources: list[SourceFile] = [_load_source(p) for p in files]
         # Registries derived from the sources themselves (single source of
         # truth: the FTR_NODISCARD / FTR_HOT / FTR_YIELD markers in the tree).
         self.nodiscard: set[str] = set()
