@@ -1,14 +1,18 @@
-// Micro-benchmarks (google-benchmark, real wall time): serial kernels of
-// the library — the Lax-Wendroff sweeps, inter-grid transfers, combination
-// evaluation and GCP coefficient solving.  These complement the
-// figure-reproduction benches, which report virtual (modeled) time.
+// Micro-benchmarks (google-benchmark, real wall time): kernels of the
+// library — the Lax-Wendroff sweeps (serial and per-rank), inter-grid
+// transfers, combination evaluation and GCP coefficient solving.  These
+// complement the figure-reproduction benches, which report virtual
+// (modeled) time.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "advection/lax_wendroff.hpp"
 #include "advection/serial_solver.hpp"
 #include "combination/coefficients.hpp"
 #include "combination/combine.hpp"
+#include "grid/decomposition.hpp"
 #include "grid/sampling.hpp"
 
 using ftr::comb::CoefficientProblem;
@@ -30,6 +34,30 @@ void BM_LaxWendroffStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * solver.grid().size());
 }
 BENCHMARK(BM_LaxWendroffStep)->Arg(5)->Arg(7)->Arg(9);
+
+// The sweeps every rank runs in ParallelSolver::step: sweep_x + sweep_y on
+// one halo'd block, at the block shapes (width x height) of the end-to-end
+// `solve` workload, 16,384 cells each.  An item is one cell update.
+void BM_LocalFieldSweep(benchmark::State& state) {
+  const int w = static_cast<int>(state.range(0));
+  const int h = static_cast<int>(state.range(1));
+  ftr::grid::LocalField f(ftr::grid::Block{0, w, 0, h});
+  for (int ly = -1; ly <= h; ++ly) {
+    for (int lx = -1; lx <= w; ++lx) f.at(lx, ly) = std::sin(0.1 * lx) * std::cos(0.05 * ly);
+  }
+  for (auto _ : state) {
+    ftr::advection::sweep_x(f, 0.45);
+    ftr::advection::sweep_y(f, 0.225);
+    benchmark::DoNotOptimize(f.raw().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * w * h);
+}
+BENCHMARK(BM_LocalFieldSweep)
+    ->Args({32, 512})
+    ->Args({64, 256})
+    ->Args({128, 128})
+    ->Args({256, 64});
 
 void BM_RestrictInject(benchmark::State& state) {
   const int l = static_cast<int>(state.range(0));

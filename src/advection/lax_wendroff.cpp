@@ -1,6 +1,8 @@
 #include "advection/lax_wendroff.hpp"
 #include "common/annotations.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -24,46 +26,72 @@ std::vector<double>& sweep_scratch(int which, std::size_t n) {
   return r;
 }
 
+/// Two neighbouring cells of a row in one register.  x86-64 has SSE2 in its
+/// baseline, so this needs no target flag, and lane arithmetic rounds exactly
+/// like scalar double arithmetic.
+using Pair = double __attribute__((vector_size(16)));
+
+Pair load_pair(const double* p) {
+  Pair v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_pair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
 }  // namespace
 
 FTR_HOT void sweep_x(LocalField& f, double courant_x) {
   // The update at lx needs the *old* values at lx-1, lx, lx+1.  Walking east
-  // with the old center carried as the next point's west neighbor needs no
-  // scratch at all.
+  // a pair of cells at a time, the pair and its east neighbours are still
+  // untouched and load in place.  The west neighbour of the pair's first cell
+  // was overwritten by the previous pair, so the previous pair's old values
+  // ride along in `prev` and a shuffle of prev and the current pair yields
+  // the west operands.  An odd width ends with one scalar update.
   const auto& b = f.block();
   const int w = b.width();
   const int h = b.height();
   for (int ly = 0; ly < h; ++ly) {
-    double west = f.at(-1, ly);
-    for (int lx = 0; lx < w; ++lx) {
-      const double center = f.at(lx, ly);
-      f.at(lx, ly) = lw_update(west, center, f.at(lx + 1, ly), courant_x);
-      west = center;
+    double* row = &f.at(0, ly);  // row[-1] and row[w] are the halo cells
+    Pair prev{row[-1], row[-1]};  // only lane 1, the west halo cell, is read
+    int lx = 0;
+    for (; lx + 1 < w; lx += 2) {
+      const Pair center = load_pair(row + lx);
+      const Pair west{prev[1], center[0]};
+      store_pair(row + lx, lw_update(west, center, load_pair(row + lx + 1), courant_x));
+      prev = center;
     }
+    if (lx < w) row[lx] = lw_update(prev[1], row[lx], row[lx + 1], courant_x);
   }
 }
 
 FTR_HOT void sweep_y(LocalField& f, double courant_y) {
-  // Row-major traversal (data_ is row-major; the old column-at-a-time loop
-  // strided the whole array once per column).  Two row buffers carry the old
-  // values: `south_old` holds row ly-1 as it was before its update, and
-  // `center_old` snapshots row ly before overwriting it; the north neighbor
-  // row ly+1 is still untouched and is read in place.
+  // Row-major, a pair of cells at a time.  Row ly needs the old rows ly-1,
+  // ly and ly+1.  Row ly+1 is still untouched and is read in place.  Old row
+  // ly-1 was overwritten one row earlier, so one scratch row carries it: as
+  // each pair of row ly is read, its old values replace the south values
+  // just used, and the buffer holds old row ly by the time row ly+1 needs
+  // it.  An odd width ends each row with one scalar update.
   const auto& b = f.block();
   const int w = b.width();
   const int h = b.height();
-  const std::size_t wn = static_cast<std::size_t>(w);
-  auto& south_old = sweep_scratch(0, wn);
-  auto& center_old = sweep_scratch(1, wn);
-  for (int lx = 0; lx < w; ++lx) south_old[static_cast<std::size_t>(lx)] = f.at(lx, -1);
+  double* south = sweep_scratch(0, static_cast<std::size_t>(w)).data();
+  std::copy_n(&f.at(0, -1), w, south);
   for (int ly = 0; ly < h; ++ly) {
-    for (int lx = 0; lx < w; ++lx) center_old[static_cast<std::size_t>(lx)] = f.at(lx, ly);
-    for (int lx = 0; lx < w; ++lx) {
-      f.at(lx, ly) = lw_update(south_old[static_cast<std::size_t>(lx)],
-                               center_old[static_cast<std::size_t>(lx)],
-                               f.at(lx, ly + 1), courant_y);
+    double* row = &f.at(0, ly);
+    const double* north = &f.at(0, ly + 1);
+    int lx = 0;
+    for (; lx + 1 < w; lx += 2) {
+      const Pair center = load_pair(row + lx);
+      store_pair(row + lx,
+                 lw_update(load_pair(south + lx), center, load_pair(north + lx), courant_y));
+      store_pair(south + lx, center);
     }
-    std::swap(south_old, center_old);
+    if (lx < w) {
+      const double center = row[lx];
+      row[lx] = lw_update(south[lx], center, north[lx], courant_y);
+      south[lx] = center;
+    }
   }
 }
 

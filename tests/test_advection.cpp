@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "advection/parallel_solver.hpp"
 #include "advection/serial_solver.hpp"
@@ -101,7 +103,10 @@ TEST(ParallelSolver, MatchesSerialBitForBit) {
       ref.run(steps);
       for (int iy = 0; iy < full.ny(); ++iy) {
         for (int ix = 0; ix < full.nx(); ++ix) {
-          if (std::abs(full.at(ix, iy) - ref.grid().at(ix, iy)) > 1e-13) ++bad;
+          if (std::bit_cast<std::uint64_t>(full.at(ix, iy)) !=
+              std::bit_cast<std::uint64_t>(ref.grid().at(ix, iy))) {
+            ++bad;
+          }
         }
       }
     }
