@@ -1,7 +1,5 @@
 #include "advection/parallel_solver.hpp"
 
-#include <cassert>
-
 namespace ftr::advection {
 
 using ftr::grid::Block;
@@ -14,13 +12,8 @@ constexpr int kTagScatter = 202;
 
 ParallelSolver::ParallelSolver(ftr::grid::Level level, Problem problem, double dt,
                                ftmpi::Comm comm)
-    : ParallelSolver(ftr::grid::Decomposition(level, comm.size()), problem, dt, comm) {}
-
-ParallelSolver::ParallelSolver(ftr::grid::Decomposition decomp, Problem problem, double dt,
-                               ftmpi::Comm comm)
-    : problem_(problem), dt_(dt), comm_(std::move(comm)), decomp_(decomp),
+    : problem_(problem), dt_(dt), comm_(std::move(comm)), decomp_(level, comm_.size()),
       field_(decomp_.block(comm_.rank())) {
-  assert(decomp_.nprocs() == comm_.size());
   fill_local([this](double x, double y) { return problem_.initial(x, y); });
 }
 

@@ -21,9 +21,6 @@ class ParallelSolver {
   /// Build the solver for `level` over the full group of `comm` and set the
   /// initial condition.
   ParallelSolver(ftr::grid::Level level, Problem problem, double dt, ftmpi::Comm comm);
-  /// Same over an explicit process grid; `decomp.nprocs()` must equal
-  /// `comm.size()`.
-  ParallelSolver(ftr::grid::Decomposition decomp, Problem problem, double dt, ftmpi::Comm comm);
 
   /// One split Lax-Wendroff timestep.  Returns the first ftmpi error code
   /// encountered; on error the step is torn (the field may hold partial

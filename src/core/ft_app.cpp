@@ -953,16 +953,12 @@ bool FtApp::try_overlap_recovery(RankState& st, long interval, int step_rc) {
   const bool continuation =
       std::binary_search(cls.continuation.begin(), cls.continuation.end(), st.wrank);
   Comm side;
-  // The split's outcome is not uniform: a repair rank that got its side
-  // early can fail its respawn and revoke the bridge (this same shrunken
-  // comm) while a continuation rank still waits for its split result.  That
-  // rank would fall back alone and leave its side mates waiting for it on
-  // the side comm.  The agreement makes the verdict uniform, and no repair
-  // rank leaves it before every survivor's split has returned.
-  int split_ok =
-      ftmpi::comm_split(shrunken, continuation ? 0 : 1, st.wrank, &side) == kSuccess ? 1 : 0;
-  ftr::observe_error(ftmpi::comm_agree(shrunken, &split_ok), "ft_app.overlap.prefix");
-  if (split_ok != 1) return false;  // the prefix broke (another failure): fall back
+  if (ftmpi::comm_split(shrunken, continuation ? 0 : 1, st.wrank, &side) != kSuccess) {
+    // The prefix itself broke (another failure): flush everyone out of the
+    // overlap machinery and fall back.
+    ftr::observe_error(ftmpi::comm_revoke(shrunken), "ft_app.overlap.prefix");
+    return false;
+  }
   FTR_PSAN_OVERLAP_SPLIT(side, epoch);
 
   st.overlap_active = true;

@@ -16,6 +16,7 @@
 #include "advection/serial_solver.hpp"
 #include "ftmpi/api.hpp"
 #include "ftmpi/runtime.hpp"
+#include "grid/decomposition.hpp"
 
 using namespace ftr::advection;
 using ftr::grid::Grid2D;
@@ -75,30 +76,34 @@ INSTANTIATE_TEST_SUITE_P(Velocities, AnisotropicConvergence,
                                            std::tuple{0.8, 1.0}));
 
 // The parallel result must equal the serial one bit for bit, whatever the
-// process grid.  Each parameter is the px x py grid the solver runs on: the
-// near-square grids ParallelSolver picks by default (near_square_factors)
-// for 1, 2, 3, 4, 5, 6, 8, 9, 12, 15 and 16 ranks, plus 4x1 and 8x2, which
-// split 4 and 16 ranks another way.  On Level{5,5}, px = 3 and px = 5 give
-// odd block widths (11 and 7), which run the sweeps' scalar tails.
+// process grid.  ParallelSolver picks its grid from the level and the rank
+// count, so each parameter is the px x py grid a case must run on, and the
+// test checks the solver's pick.  The near-square grids for 1, 2, 3, 4, 5, 6,
+// 8, 9, 12, 15 and 16 ranks run on Level{5,5}, where px = 3 and px = 5 give
+// odd block widths (11 and 7), which run the sweeps' scalar tails.  The
+// flatter 4x1 and 8x2 grids come about as in a run: on a level with only py
+// rows (Level{5,0} and Level{5,1}), Decomposition flattens the near-square
+// grid of 4 or 16 ranks onto them.
 class DecompShape : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 namespace {
 
-/// Runs ParallelSolver over `decomp` and SerialSolver over its level for the
-/// same steps.  Returns the number of points whose bits differ plus any
-/// failed call.
-int parallel_serial_mismatches(const ftr::grid::Decomposition& decomp) {
+/// Runs ParallelSolver on `nprocs` ranks and SerialSolver over `level` for
+/// the same steps.  Returns the number of points whose bits differ (plus any
+/// failed call) and stores the process grid the solver chose.
+int parallel_serial_mismatches(Level level, int nprocs, int* px, int* py) {
   ftmpi::Runtime rt;
   std::atomic<int> bad{0};
-  const Level level = decomp.level();
   const Problem p{1.0, 0.5};
   const double dt = stable_timestep(std::max(level.x, level.y), p, 0.8);
   rt.register_app("main", [&](const std::vector<std::string>&) {
-    ParallelSolver solver(decomp, p, dt, ftmpi::world());
+    ParallelSolver solver(level, p, dt, ftmpi::world());
     if (solver.run(16) != ftmpi::kSuccess) ++bad;
     Grid2D full;
     if (solver.gather_full(&full) != ftmpi::kSuccess) ++bad;
     if (ftmpi::world().rank() == 0) {
+      *px = solver.decomposition().px();
+      *py = solver.decomposition().py();
       SerialSolver ref(level, p, dt);
       ref.run(16);
       for (int iy = 0; iy < full.ny(); ++iy) {
@@ -111,7 +116,7 @@ int parallel_serial_mismatches(const ftr::grid::Decomposition& decomp) {
       }
     }
   });
-  rt.run("main", decomp.nprocs());
+  rt.run("main", nprocs);
   return bad.load();
 }
 
@@ -119,8 +124,14 @@ int parallel_serial_mismatches(const ftr::grid::Decomposition& decomp) {
 
 TEST_P(DecompShape, ResultIndependentOfProcessGrid) {
   const auto [px, py] = GetParam();
-  EXPECT_EQ(parallel_serial_mismatches(ftr::grid::Decomposition(Level{5, 5}, px, py)), 0)
+  const bool flatter = ftr::grid::near_square_factors(px * py).second > py;
+  const Level level{5, flatter ? std::countr_zero(static_cast<unsigned>(py)) : 5};
+  int got_px = 0;
+  int got_py = 0;
+  EXPECT_EQ(parallel_serial_mismatches(level, px * py, &got_px, &got_py), 0)
       << px << "x" << py;
+  EXPECT_EQ(got_px, px);
+  EXPECT_EQ(got_py, py);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, DecompShape,
@@ -135,10 +146,11 @@ INSTANTIATE_TEST_SUITE_P(Shapes, DecompShape,
 // 15 ranks on Level{3,6} split 8 columns 5 ways: block widths 2, 2, 2, 1, 1,
 // so a row has a single pair or no pair at all before its scalar tail.
 TEST(DecompShapeNarrow, BlockWidthsOneAndTwoMatchSerial) {
-  const ftr::grid::Decomposition d(Level{3, 6}, 15);
-  ASSERT_EQ(d.px(), 5);
-  ASSERT_EQ(d.py(), 3);
-  EXPECT_EQ(parallel_serial_mismatches(d), 0);
+  int px = 0;
+  int py = 0;
+  EXPECT_EQ(parallel_serial_mismatches(Level{3, 6}, 15, &px, &py), 0);
+  EXPECT_EQ(px, 5);
+  EXPECT_EQ(py, 3);
 }
 
 // Diffusion: the amplitude decays monotonically and mass (zero-mean initial
