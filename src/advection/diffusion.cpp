@@ -107,34 +107,24 @@ int ParallelDiffusionSolver::run(long steps) {
 
 int ParallelDiffusionSolver::gather_full(Grid2D* out) {
   constexpr int kTag = 211;
-  std::vector<double> interior(static_cast<size_t>(field_.block().cells()));
-  {
-    size_t k = 0;
-    const auto& b = field_.block();
-    for (int ly = 0; ly < b.height(); ++ly) {
-      for (int lx = 0; lx < b.width(); ++lx) interior[k++] = field_.at(lx, ly);
-    }
-  }
   if (comm_.rank() == 0) {
     *out = Grid2D(decomp_.level());
-    const auto place = [&](const ftr::grid::Block& b, const std::vector<double>& v) {
-      size_t k = 0;
-      for (int ly = 0; ly < b.height(); ++ly) {
-        for (int lx = 0; lx < b.width(); ++lx) out->at(b.x0 + lx, b.y0 + ly) = v[k++];
-      }
-    };
-    place(field_.block(), interior);
+    field_.store_to(*out);  // own block first
     for (int r = 1; r < comm_.size(); ++r) {
       const ftr::grid::Block b = decomp_.block(r);
       std::vector<double> buf(static_cast<size_t>(b.cells()));
       const int rc = ftmpi::recv(buf.data(), static_cast<int>(buf.size()), r, kTag, comm_);
       if (rc != ftmpi::kSuccess) return rc;
-      place(b, buf);
+      size_t k = 0;
+      for (int ly = 0; ly < b.height(); ++ly) {
+        for (int lx = 0; lx < b.width(); ++lx) out->at(b.x0 + lx, b.y0 + ly) = buf[k++];
+      }
     }
     out->enforce_periodicity();
     return ftmpi::kSuccess;
   }
   if (out != nullptr) *out = Grid2D{};
+  const std::vector<double> interior = field_.pack_interior();
   return ftmpi::send(interior.data(), static_cast<int>(interior.size()), 0, kTag, comm_);
 }
 

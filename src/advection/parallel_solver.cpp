@@ -57,26 +57,9 @@ int ParallelSolver::run(long steps) {
 }
 
 int ParallelSolver::gather_full(Grid2D* out) {
-  if (repair_pending_) return ftmpi::kErrPending;
-  const auto interior = [&]() {
-    std::vector<double> v(static_cast<size_t>(field_.block().cells()));
-    size_t k = 0;
-    for (int ly = 0; ly < field_.block().height(); ++ly) {
-      for (int lx = 0; lx < field_.block().width(); ++lx) v[k++] = field_.at(lx, ly);
-    }
-    return v;
-  }();
-
   if (comm_.rank() == 0) {
     *out = Grid2D(decomp_.level());
-    // Own block first.
-    {
-      const Block b = field_.block();
-      size_t k = 0;
-      for (int ly = 0; ly < b.height(); ++ly) {
-        for (int lx = 0; lx < b.width(); ++lx) out->at(b.x0 + lx, b.y0 + ly) = interior[k++];
-      }
-    }
+    field_.store_to(*out);  // own block first
     for (int r = 1; r < comm_.size(); ++r) {
       const Block b = decomp_.block(r);
       std::vector<double> buf(static_cast<size_t>(b.cells()));
@@ -92,12 +75,12 @@ int ParallelSolver::gather_full(Grid2D* out) {
     return ftmpi::kSuccess;
   }
   if (out != nullptr) *out = Grid2D{};
+  const std::vector<double> interior = field_.pack_interior();
   return ftmpi::send(interior.data(), static_cast<int>(interior.size()), 0, kTagGather,
                      comm_);
 }
 
 int ParallelSolver::scatter_full(const Grid2D& full_at_root) {
-  if (repair_pending_) return ftmpi::kErrPending;
   if (comm_.rank() == 0) {
     for (int r = 1; r < comm_.size(); ++r) {
       const Block b = decomp_.block(r);
@@ -110,22 +93,13 @@ int ParallelSolver::scatter_full(const Grid2D& full_at_root) {
                                  comm_);
       if (rc != ftmpi::kSuccess) return rc;
     }
-    const Block b = field_.block();
-    for (int ly = 0; ly < b.height(); ++ly) {
-      for (int lx = 0; lx < b.width(); ++lx) {
-        field_.at(lx, ly) = full_at_root.at(b.x0 + lx, b.y0 + ly);
-      }
-    }
+    field_.load_from(full_at_root);
     return ftmpi::kSuccess;
   }
-  const Block b = field_.block();
-  std::vector<double> buf(static_cast<size_t>(b.cells()));
+  std::vector<double> buf(static_cast<size_t>(field_.block().cells()));
   const int rc = ftmpi::recv(buf.data(), static_cast<int>(buf.size()), 0, kTagScatter, comm_);
   if (rc != ftmpi::kSuccess) return rc;
-  size_t k = 0;
-  for (int ly = 0; ly < b.height(); ++ly) {
-    for (int lx = 0; lx < b.width(); ++lx) field_.at(lx, ly) = buf[k++];
-  }
+  field_.unpack_interior(buf);
   return ftmpi::kSuccess;
 }
 

@@ -63,14 +63,6 @@ class ParallelSolver {
   /// Reset the local block from an arbitrary function (used by restart).
   void fill_local(const std::function<double(double, double)>& f);
 
-  /// Overlapped recovery: while a background repair is in flight the world
-  /// is partial, so whole-run collectives (gather_full / scatter_full)
-  /// would address ranks that are not back yet.  The flag makes them
-  /// return kErrPending instead of communicating; stepping and halo
-  /// exchange on the group communicator stay allowed.
-  void set_repair_pending(bool p) { repair_pending_ = p; }
-  [[nodiscard]] bool repair_pending() const { return repair_pending_; }
-
  private:
   Problem problem_;
   double dt_ = 0.0;
@@ -79,7 +71,6 @@ class ParallelSolver {
   ftr::grid::LocalField field_;
   long step_ = 0;
   bool torn_ = false;
-  bool repair_pending_ = false;
 };
 
 }  // namespace ftr::advection

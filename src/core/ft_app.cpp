@@ -1,7 +1,6 @@
 #include "core/ft_app.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 
 #include "advection/serial_solver.hpp"
@@ -92,7 +91,6 @@ struct FtApp::RankState {
   int repairs = 0;
   int recon_attempts = 0;
   double recovery_time = 0.0;
-  double recovery_bytes = 0.0;
   double buddy_repl_time = 0.0;
   double ckpt_write_total = 0.0;
   double solve_time = 0.0;
@@ -105,10 +103,6 @@ FtApp::FtApp(AppConfig cfg) : cfg_(std::move(cfg)), layout_(build_layout(cfg_.la
                ? std::make_shared<ftr::rec::CheckpointStore>()
                : std::make_shared<ftr::rec::CheckpointStore>(cfg_.checkpoint_dir);
   buddy_ = std::make_shared<ftr::rec::BuddyStore>();
-  // Overlapped recovery wants the detector's early exit from the solve loop
-  // (a continuation rank stuck in halo exchange on a broken grid comm would
-  // otherwise only learn of the failure reactively).
-  if (cfg_.recovery == RecoveryPolicy::Overlap) cfg_.proactive_recovery = true;
 }
 
 ftr::rec::PlannerMode FtApp::planner_mode() const {
@@ -141,25 +135,6 @@ int FtApp::launch(ftmpi::Runtime& rt) {
 
 // --- small helpers -----------------------------------------------------------
 
-std::vector<double> FtApp::pack_interior(const ftr::grid::LocalField& f) const {
-  const auto& b = f.block();
-  std::vector<double> v(static_cast<size_t>(b.cells()));
-  size_t k = 0;
-  for (int ly = 0; ly < b.height(); ++ly) {
-    for (int lx = 0; lx < b.width(); ++lx) v[k++] = f.at(lx, ly);
-  }
-  return v;
-}
-
-void FtApp::unpack_interior(const std::vector<double>& v, ftr::grid::LocalField& f) const {
-  const auto& b = f.block();
-  assert(v.size() == static_cast<size_t>(b.cells()));
-  size_t k = 0;
-  for (int ly = 0; ly < b.height(); ++ly) {
-    for (int lx = 0; lx < b.width(); ++lx) f.at(lx, ly) = v[k++];
-  }
-}
-
 void FtApp::maybe_self_kill(const RankState& st, long step) {
   // Whole-node failure: the first resident process whose step reaches the
   // planned time takes the node down (killing itself and its co-residents).
@@ -191,12 +166,19 @@ void FtApp::maybe_self_kill(const RankState& st, long step) {
 }
 
 int FtApp::solve_to(RankState& st, long target) {
+  // Overlapped recovery leaves the solve loop for the detection point as
+  // soon as the detector knows of a failure in the world, instead of
+  // solving on until a collective on the broken communicator fails (a
+  // continuation rank stuck in halo exchange would otherwise only learn of
+  // it reactively).  Not inside an attempt, where the world is the
+  // pre-repair one, and not in a degraded world, which takes no overlap.
+  const bool proactive = cfg_.recovery == RecoveryPolicy::Overlap && !st.overlap_active &&
+                         !st.degraded && ftmpi::detector_enabled() && !st.world.is_null();
   while (st.solver->steps_done() < target) {
     maybe_self_kill(st, st.solver->steps_done());
-    // Detector notification: leave the solve loop for the detection point
-    // as soon as a failure anywhere in the world is known locally, instead
-    // of solving on until a collective on the broken communicator fails.
-    if (cfg_.proactive_recovery && !st.overlap_active && proactive_failure_pending(st)) {
+    if (proactive && ftmpi::detector_knows_failure_in(st.world)) {
+      ftmpi::runtime().add(keys::kProactiveExits, 1.0);
+      FTR_DEBUG("ft_app: rank %d leaves the solve loop proactively", st.wrank);
       return ftmpi::kErrProcFailed;
     }
     const int rc = st.solver->step();
@@ -204,37 +186,6 @@ int FtApp::solve_to(RankState& st, long target) {
     buddy_tick(st);
   }
   return kSuccess;
-}
-
-bool FtApp::proactive_failure_pending(RankState& st) {
-  // Degraded (shrunken) worlds renumber ranks, so the rank->grid mapping
-  // below no longer applies; leave detection to the reactive path there.
-  if (!ftmpi::detector_enabled() || st.world.is_null() || st.degraded) return false;
-  if (!ftmpi::detector_knows_failure_in(st.world)) return false;
-  // Arm recovery while the pre-repair world is still in hand.  Work out
-  // which grids presumably lost a member; when this rank's grid is a
-  // likely recovery source for them, harvest in-flight buddy replicas now
-  // (the world swap inside reconstruct() would orphan them).  The facts
-  // here are *local beliefs* — the negotiated plan after the repair is
-  // authoritative; pre-staging merely warms the sources it will pick from.
-  std::set<int> presumed;
-  for (const ftmpi::ProcId pid : ftmpi::detector_known_failed()) {
-    const int wr = st.world.group().rank_of(pid);
-    if (wr < 0) continue;
-    const int g = layout_.grid_of_rank(wr);
-    if (g >= 0) presumed.insert(g);
-  }
-  if (presumed.empty()) return false;  // e.g. a stale record from before a repair
-  const std::vector<int> sources = ftr::rec::prestage_sources(
-      layout_.slots, planner_mode(), std::vector<int>(presumed.begin(), presumed.end()));
-  if (std::find(sources.begin(), sources.end(), st.grid) != sources.end()) {
-    drain_buddies(st);
-    ftmpi::runtime().add(keys::kProactivePrestaged, 1.0);
-  }
-  ftmpi::runtime().add(keys::kProactiveExits, 1.0);
-  FTR_DEBUG("ft_app: rank %d leaves the solve loop proactively (%d grid(s) presumed lost)",
-            st.wrank, static_cast<int>(presumed.size()));
-  return true;
 }
 
 // --- main flow ---------------------------------------------------------------
@@ -346,7 +297,7 @@ void FtApp::run_intervals_from(RankState& st, long start_interval) {
     const double tw = ftmpi::wtime();
     if (st.solver) {
       store_->write(st.grid, st.gcomm.rank(), st.solver->steps_done(),
-                    pack_interior(st.solver->field()));
+                    st.solver->field().pack_interior());
     }
     // A chaos kill inside the write surfaces here (or at the next solve);
     // the next detection point repairs and the grid rolls back, so a failed
@@ -441,20 +392,17 @@ void FtApp::post_repair(RankState& st, long interval, bool is_child) {
     st.solver->set_comm(st.gcomm);
   }
 
-  // 2b. Proactive exits can leave grids *untouched* by the failure short of
-  //     the target they were solving to (a rank leaves as soon as gossip
-  //     reaches it), and — because gossip lands at different times — with
-  //     members at *different* step counts.  Catch up before the
-  //     restoration below: RC transfers read the partner grid at `target`,
-  //     so the reactive-path invariant (every complete grid is at `target`
-  //     when restoration starts) must be re-established.  Group-local: only
-  //     this grid's communicator is involved, and the world barrier below
-  //     resynchronizes everyone.
-  // Overlap's classic fallback lands here with exactly the same staggered /
-  // torn hazards (continuation ranks stepped past the failure point before
-  // the abort), so the catch-up also runs for RecoveryPolicy::Overlap.
-  if ((cfg_.proactive_recovery || cfg_.recovery == RecoveryPolicy::Overlap) && st.solver &&
-      !is_child &&
+  // 2b. Overlapped recovery's proactive exits can leave grids *untouched* by
+  //     the failure short of the target they were solving to (a rank leaves
+  //     as soon as gossip reaches it), and — because gossip lands at
+  //     different times — with members at *different* step counts; an
+  //     aborted overlap attempt leaves continuation ranks stepped past the
+  //     failure point.  Catch up before the restoration below: RC transfers
+  //     read the partner grid at `target`, so the reactive-path invariant
+  //     (every complete grid is at `target` when restoration starts) must be
+  //     re-established.  Group-local: only this grid's communicator is
+  //     involved, and the world barrier below resynchronizes everyone.
+  if (cfg_.recovery == RecoveryPolicy::Overlap && st.solver && !is_child &&
       std::find(lost_ids.begin(), lost_ids.end(), static_cast<long>(st.grid)) ==
           lost_ids.end()) {
     const long target = interval_target(header[0]);
@@ -522,7 +470,7 @@ void FtApp::cr_restore(RankState& st, const std::vector<int>& lost, long target)
     return;
   }
   if (all_have == 1) {
-    unpack_interior(snap->data, st.solver->field());
+    st.solver->field().unpack_interior(snap->data);
     st.solver->set_steps_done(snap->step);
   } else {
     st.solver->fill_local([this](double x, double y) { return cfg_.problem.initial(x, y); });
@@ -636,7 +584,7 @@ bool FtApp::restore_replica(RankState& st, const std::optional<ftr::rec::Replica
                             long step, long target) {
   const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
   if (!msg.has_value() || msg->step != step || msg->data.size() != cells) return false;
-  unpack_interior(msg->data, st.solver->field());
+  st.solver->field().unpack_interior(msg->data);
   st.solver->set_steps_done(step);
   return solve_to(st, target) == kSuccess;
 }
@@ -672,7 +620,7 @@ void FtApp::buddy_tick(RankState& st) {
   // replication overlaps the next timesteps.
   ftr::rec::buddy_drain(*buddy_, st.world);
   const int brc = ftr::rec::buddy_send(st.btopo, st.world, st.grid, st.gcomm.rank(), s,
-                                       pack_interior(st.solver->field()));
+                                       st.solver->field().pack_interior());
   if (brc != kSuccess) {
     // The replica did not land: the planner's buddy rung will see this
     // generation as unavailable at restore time, so surface it now.
@@ -815,14 +763,29 @@ void FtApp::execute_plan(RankState& st, const ftr::rec::RecoveryPlan& plan, long
     }
   }
   if (st.wrank != 0) return;
+  record_plan(plan);
+  if (!plan.gcp_feasible) {
+    FTR_WARN("ft_app: no GCP solution absorbs the unrestored grids; they idle");
+  }
+  const auto mode = planner_mode();
+  if (charge_gcp_coeffs && plan.count(RecoveryAction::Gcp) > 0 &&
+      (mode == ftr::rec::PlannerMode::ForceAc || mode == ftr::rec::PlannerMode::Lattice)) {
+    // The only recovery overhead of re-combination is deriving the GCP
+    // coefficients (paper Sec. III-B); the sampling rides the compulsory
+    // combination stage anyway.
+    ftmpi::charge_flops(ftr::rec::ac_coefficient_flops(cfg_.layout.scheme, gcp_depth()));
+  }
+}
 
-  // Plan bookkeeping: per-action counts, the per-grid decision, and the
-  // modeled volume of recovery-source data moved.
+void FtApp::record_plan(const ftr::rec::RecoveryPlan& plan) const {
+  using ftr::rec::RecoveryAction;
   ftmpi::Runtime& rt = ftmpi::runtime();
-  const auto level_bytes = [](const Level& lv) {
+  const int ngrids = static_cast<int>(layout_.slots.size());
+  const auto level_bytes = [&](int grid) {
+    const Level lv = layout_.slots[static_cast<size_t>(grid)].level;
     return 8.0 * static_cast<double>((1 << lv.x) + 1) * static_cast<double>((1 << lv.y) + 1);
   };
-  bool any_gcp = false;
+  double bytes = 0.0;
   for (const auto& e : plan.entries) {
     if (e.grid < 0 || e.grid >= ngrids) continue;
     rt.add(std::string(keys::kPlanPrefix) + ftr::rec::action_name(e.action), 1.0);
@@ -831,32 +794,18 @@ void FtApp::execute_plan(RankState& st, const ftr::rec::RecoveryPlan& plan, long
     switch (e.action) {
       case RecoveryAction::RcCopy:
       case RecoveryAction::RcResample:
-        if (e.partner >= 0 && e.partner < ngrids) {
-          st.recovery_bytes += level_bytes(layout_.slots[static_cast<size_t>(e.partner)].level);
-        }
+        if (e.partner >= 0 && e.partner < ngrids) bytes += level_bytes(e.partner);
         break;
       case RecoveryAction::Buddy:
       case RecoveryAction::Disk:
-        st.recovery_bytes += level_bytes(layout_.slots[static_cast<size_t>(e.grid)].level);
+        bytes += level_bytes(e.grid);
         break;
       case RecoveryAction::Gcp:
-        any_gcp = true;
-        break;
       case RecoveryAction::Idle:
         break;
     }
   }
-  if (!plan.gcp_feasible) {
-    FTR_WARN("ft_app: no GCP solution absorbs the unrestored grids; they idle");
-  }
-  const auto mode = planner_mode();
-  if (charge_gcp_coeffs && any_gcp &&
-      (mode == ftr::rec::PlannerMode::ForceAc || mode == ftr::rec::PlannerMode::Lattice)) {
-    // The only recovery overhead of re-combination is deriving the GCP
-    // coefficients (paper Sec. III-B); the sampling rides the compulsory
-    // combination stage anyway.
-    ftmpi::charge_flops(ftr::rec::ac_coefficient_flops(cfg_.layout.scheme, gcp_depth()));
-  }
+  rt.add(keys::kRecoveryBytes, bytes);
 }
 
 // --- non-blocking overlapped recovery ----------------------------------------
@@ -985,7 +934,6 @@ bool FtApp::overlap_continuation(RankState& st, long interval,
   if (!aborted) {
     st.gcomm = gc;
     st.solver->set_comm(st.gcomm);
-    st.solver->set_repair_pending(true);
 
     // Re-establish the group invariant before stepping on: the exits from
     // the solve loop were staggered (proactive exits land when gossip
@@ -1015,8 +963,7 @@ bool FtApp::overlap_continuation(RankState& st, long interval,
   const double t0 = ftmpi::wtime();
   while (!aborted && verdict == overlap::kVerdictNone) {
     if (st.solver->steps_done() < target) {
-      maybe_self_kill(st, st.solver->steps_done());
-      if (st.solver->step() != kSuccess) {
+      if (solve_to(st, st.solver->steps_done() + 1) != kSuccess) {
         aborted = true;  // a failure on the continuation side itself
       } else {
         ++stepped;
@@ -1079,7 +1026,6 @@ bool FtApp::overlap_continuation(RankState& st, long interval,
 bool FtApp::overlap_abort_continuation(RankState& st, const ftmpi::Comm& ccomm,
                                        const ftmpi::Comm& bridge) {
   if (!ccomm.is_null() && ccomm.rank() == 0) ftmpi::runtime().add(keys::kOverlapAborts, 1.0);
-  if (st.solver) st.solver->set_repair_pending(false);
   // Revocation is the convergence mechanism: the bridge revoke aborts the
   // repair side's doorbell/handoff (and through it the children), the
   // ccomm/gcomm revokes flush continuation mates out of whatever overlap
@@ -1098,10 +1044,6 @@ bool FtApp::overlap_abort_repair(RankState& st, const ftmpi::Comm& bridge,
                                  const overlap::Classification& cls, std::uint64_t epoch,
                                  const char* why) {
   FTR_WARN("ft_app: overlap repair failed at %s (rank %d); falling back", why, st.wrank);
-  // The restoration path armed the solver's repair_pending latch; drop it,
-  // or the classic fallback's combination gathers bounce off kErrPending
-  // forever while the gather root waits (deadlock).
-  if (st.solver) st.solver->set_repair_pending(false);
   // Every failing repair survivor rings ABORT itself (the poll drains all
   // senders and ABORT outranks READY), then revokes the overlap comms so
   // both sides — and any children parked in the protocol — converge on
@@ -1193,8 +1135,6 @@ bool FtApp::overlap_abort_restore(RankState& st, const ftmpi::Comm& rworld, cons
   // of the protocol; survivors then run the abort convergence in
   // overlap_abort_repair(), children abort and get respawned classically.
   FTR_WARN("ft_app: overlap restoration failed at %s (rank %d)", why, st.wrank);
-  // See overlap_abort_repair: the latch must not outlive the attempt.
-  if (st.solver) st.solver->set_repair_pending(false);
   ftr::observe_error(ftmpi::comm_revoke(rworld), "ft_app.overlap.abort");
   return false;
 }
@@ -1215,7 +1155,6 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
   } else {
     st.solver->set_comm(st.gcomm);
   }
-  st.solver->set_repair_pending(true);
 
   // The leader plans the restoration from the staged manifests (the only
   // buddy knowledge that crossed the split) and broadcasts it like the
@@ -1319,6 +1258,7 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
   }
   if (rworld.rank() == view.leader_rworld) {
     ftmpi::runtime().add(keys::kOverlapHandoffs, 1.0);
+    record_plan(plan);
   }
   return true;
 }
@@ -1400,7 +1340,6 @@ bool FtApp::overlap_adopt(RankState& st, ftmpi::Comm nworld, int leader_old,
     return false;
   }
   for (long id : ids) st.unrestored.insert(static_cast<int>(id));
-  if (st.solver) st.solver->set_repair_pending(false);
   if (st.wrank == 0) {
     ++st.repairs;
     ++st.recon_attempts;
@@ -1575,7 +1514,6 @@ void FtApp::recovery_and_combine(RankState& st) {
            st.degraded ? 2.0 : (st.repairs > 0 ? 1.0 : 0.0));
     rt.put(keys::kReconAttempts, static_cast<double>(st.recon_attempts));
     rt.put(keys::kSurvivors, static_cast<double>(st.world.size()));
-    rt.put(keys::kRecoveryBytes, st.recovery_bytes);
     rt.put(keys::kBuddyReplications, static_cast<double>(buddy_->replications()));
     rt.put(keys::kBuddyReplBytes, static_cast<double>(buddy_->replicated_bytes()));
     rt.put(keys::kBuddyReplTime, st.buddy_repl_time);

@@ -89,12 +89,10 @@ inline constexpr const char* kPlanPrefix = "recon.plan.";
 inline constexpr const char* kBuddyReplications = "recon.buddy.replications";
 inline constexpr const char* kBuddyReplBytes = "recon.buddy.repl_bytes";
 inline constexpr const char* kBuddyReplTime = "recon.buddy.repl_time";
-/// Proactive detection (runtime-wide counters, accumulated across ranks):
+/// Proactive detection (runtime-wide counter, accumulated across ranks):
 /// solve-loop exits armed by the failure detector before any collective
-/// failed, and how many of those pre-staged this rank's grid as a likely
-/// recovery source (harvesting in-flight buddy replicas early).
+/// failed (RecoveryPolicy::Overlap only).
 inline constexpr const char* kProactiveExits = "recon.proactive.exits";
-inline constexpr const char* kProactivePrestaged = "recon.proactive.prestaged";
 /// Overlapped recovery (RecoveryPolicy::Overlap): successful doorbell handoffs
 /// onto a background-repaired world, attempts aborted back to the classic
 /// stop-the-world path, and the timesteps continuation ranks computed while
@@ -118,7 +116,13 @@ inline constexpr const char* kOverlapSteps = "recon.overlap.steps";
 ///               the sides rejoin at a versioned doorbell handoff.  Any
 ///               failure of the overlap falls back to the classic
 ///               stop-the-world reconstruct.  Restoration follows the
-///               planner lattice.
+///               planner lattice.  A rank whose failure detector knows of a
+///               death leaves the solve loop at the next step boundary
+///               (a proactive exit) instead of waiting for a collective on
+///               the broken communicator to fail.  *When* gossip arrives
+///               depends on real message timing, so Overlap runs are not
+///               reproducible from run to run; Technique and Planner runs
+///               are.
 enum class RecoveryPolicy { Technique, Planner, Overlap };
 
 struct AppConfig {
@@ -142,17 +146,6 @@ struct AppConfig {
   /// Diskless buddy replication interval in timesteps (0 = off): every
   /// `buddy_every` steps each rank streams its block to its buddy rank.
   long buddy_every = 0;
-  /// Act on failure-detector notifications between timesteps: a rank that
-  /// learns of a failure (heartbeat timeout or gossip) leaves the solve
-  /// loop and heads for the detection point immediately, arming recovery
-  /// (planner pre-staging, early buddy harvest) instead of waiting for a
-  /// collective on the broken communicator to fail.  Off by default:
-  /// *when* gossip arrives at a given timestep depends on real message
-  /// timing, so proactive exits trade run-to-run virtual-time
-  /// reproducibility for failure-to-repair latency.  Requires the detector
-  /// (Runtime::Options::detector.enabled).  Overlapped recovery always
-  /// turns this on.
-  bool proactive_recovery = false;
 };
 
 class FtApp {
@@ -186,13 +179,10 @@ class FtApp {
   [[nodiscard]] long interval_target(long interval) const;
 
   /// Advance to `target` steps, firing planned kills; errors fall through
-  /// to the next detection point.
+  /// to the next detection point.  Under RecoveryPolicy::Overlap, outside an
+  /// overlap attempt, a failure the detector knows of in the current world
+  /// ends the loop early with kErrProcFailed (a proactive exit).
   int solve_to(RankState& st, long target);
-
-  /// Proactive detection check between timesteps (cfg_.proactive_recovery):
-  /// true when the failure detector knows of a dead member of the current
-  /// world, after arming recovery (prestage_sources + early buddy harvest).
-  [[nodiscard]] bool proactive_failure_pending(RankState& st);
 
   /// Record the outcome of one reconstruct() on the rank state (world swap,
   /// failed-rank bookkeeping incl. degraded-rank translation, rank-0
@@ -227,6 +217,10 @@ class FtApp {
                                                        ftr::rec::PlannerMode mode) const;
   void execute_plan(RankState& st, const ftr::rec::RecoveryPlan& plan, long target,
                     bool charge_gcp_coeffs);
+  /// Plan bookkeeping on the blackboard: per-action counts, the per-grid
+  /// decision and the modeled recovery-source bytes.  Called once per
+  /// executed plan, by one rank.
+  void record_plan(const ftr::rec::RecoveryPlan& plan) const;
 
   /// One rung of the lattice each: CR rollback of one grid's group,
   /// partner copy/resample, buddy-snapshot fetch + recompute.
@@ -273,8 +267,8 @@ class FtApp {
   bool overlap_continuation(RankState& st, long interval,
                             const overlap::Classification& cls, const ftmpi::Comm& bridge,
                             const ftmpi::Comm& ccomm, std::uint64_t epoch);
-  /// Count the abort, drop the repair-pending gate and revoke the overlap
-  /// communicators so both sides converge on the classic fallback.
+  /// Count the abort and revoke the overlap communicators so both sides
+  /// converge on the classic fallback.
   bool overlap_abort_continuation(RankState& st, const ftmpi::Comm& ccomm,
                                   const ftmpi::Comm& bridge);
   /// Repair-side abort: ring the ABORT doorbell, then revoke the bridge and
@@ -310,8 +304,6 @@ class FtApp {
                      std::uint64_t epoch);
 
   void maybe_self_kill(const RankState& st, long step);
-  [[nodiscard]] std::vector<double> pack_interior(const ftr::grid::LocalField& f) const;
-  void unpack_interior(const std::vector<double>& v, ftr::grid::LocalField& f) const;
 
   AppConfig cfg_;
   Layout layout_;

@@ -85,6 +85,23 @@ void LocalField::store_to(Grid2D& full) const {
   }
 }
 
+std::vector<double> LocalField::pack_interior() const {
+  std::vector<double> v;
+  v.reserve(static_cast<size_t>(block_.cells()));
+  for (int ly = 0; ly < block_.height(); ++ly) {
+    for (int lx = 0; lx < block_.width(); ++lx) v.push_back(at(lx, ly));
+  }
+  return v;
+}
+
+void LocalField::unpack_interior(const std::vector<double>& v) {
+  assert(v.size() == static_cast<size_t>(block_.cells()));
+  size_t k = 0;
+  for (int ly = 0; ly < block_.height(); ++ly) {
+    for (int lx = 0; lx < block_.width(); ++lx) at(lx, ly) = v[k++];
+  }
+}
+
 std::vector<double> LocalField::pack_column(int lx) const {
   std::vector<double> v;
   pack_column_into(lx, v);

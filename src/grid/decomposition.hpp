@@ -95,6 +95,10 @@ class LocalField {
   /// Copy the owned interior out of / into a full grid (unique points).
   void load_from(const Grid2D& full);
   void store_to(Grid2D& full) const;
+  /// Copy the owned interior to / from a flat row-major vector of
+  /// block().cells() values (checkpoints, replicas, gathers).
+  [[nodiscard]] std::vector<double> pack_interior() const;
+  void unpack_interior(const std::vector<double>& v);
 
   /// Pack/unpack one edge of the interior (for halo exchange).  The
   /// allocating pack_column/pack_row remain for one-off callers; the per-step

@@ -4,10 +4,10 @@
 #include <cstring>
 #include <set>
 
-#include "common/crc32.hpp"
 #include "common/logging.hpp"
 #include "ftmpi/api.hpp"
 #include "ftmpi/request.hpp"
+#include "recovery/checkpoint.hpp"
 
 namespace ftr::rec {
 
@@ -93,18 +93,11 @@ constexpr std::size_t kHeaderLongs = 5;  // grid, grank, step, count, crc
 constexpr std::size_t kHeaderBytes = kHeaderLongs * sizeof(long);
 }  // namespace
 
-std::uint32_t replica_crc(long step, const std::vector<double>& data) {
-  const std::size_t n = data.size();
-  std::uint32_t c = ftr::crc32(&step, sizeof(step));
-  c = ftr::crc32(&n, sizeof(n), c);
-  return ftr::crc32(data.data(), n * sizeof(double), c);
-}
-
 std::vector<std::byte> pack_replica(int grid, int grank, long step,
                                     const std::vector<double>& data) {
   const long header[kHeaderLongs] = {static_cast<long>(grid), static_cast<long>(grank), step,
                                      static_cast<long>(data.size()),
-                                     static_cast<long>(replica_crc(step, data))};
+                                     static_cast<long>(snapshot_crc(step, data))};
   std::vector<std::byte> buf(kHeaderBytes + data.size() * sizeof(double));
   std::memcpy(buf.data(), header, kHeaderBytes);
   if (!data.empty()) {
@@ -131,7 +124,7 @@ std::optional<ReplicaMessage> unpack_replica(const std::byte* bytes, std::size_t
     std::memcpy(m.data.data(), bytes + kHeaderBytes,
                 static_cast<std::size_t>(count) * sizeof(double));
   }
-  if (replica_crc(m.step, m.data) != m.crc) return std::nullopt;
+  if (snapshot_crc(m.step, m.data) != m.crc) return std::nullopt;
   return m;
 }
 
@@ -165,7 +158,7 @@ std::optional<BuddyStore::Replica> BuddyStore::read_at(ftmpi::ProcId holder, int
   if (it == slots_.end()) return std::nullopt;
   for (const Generation* gen : {&it->second.newest, &it->second.prev}) {
     if (gen->step != step || step < 0) continue;
-    if (replica_crc(gen->step, gen->data) != gen->crc) {
+    if (snapshot_crc(gen->step, gen->data) != gen->crc) {
       ++corrupt_detected_;
       continue;
     }

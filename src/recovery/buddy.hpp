@@ -75,10 +75,6 @@ int buddy_rank_of(const BuddyTopology& topo, int world_rank);
 /// The ranks whose replicas `holder` keeps (the inverse of buddy_rank_of).
 std::vector<int> buddy_clients_of(const BuddyTopology& topo, int holder);
 
-/// CRC-32 over (step, count, payload) — same shape as the disk checkpoint
-/// integrity checksum.
-std::uint32_t replica_crc(long step, const std::vector<double>& data);
-
 /// Wire format of one replica message: a fixed header of 5 longs
 /// {grid, group rank, step, count, crc} followed by `count` doubles.
 /// An empty payload (count 0) is a valid "generation unavailable" marker.
@@ -112,7 +108,7 @@ class BuddyStore {
   };
 
   /// Store one generation under `holder`, demoting the current newest to
-  /// the previous slot.  `crc` is the sender-computed replica_crc.
+  /// the previous slot.  `crc` is the sender-computed snapshot_crc.
   void put(ftmpi::ProcId holder, int grid, int grank, long step,
            std::vector<double> data, std::uint32_t crc);
 

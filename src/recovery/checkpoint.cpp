@@ -68,7 +68,7 @@ std::string CheckpointStore::latest_path(int grid_id, int rank) const {
   return path_for(grid_id, rank);
 }
 
-std::uint32_t CheckpointStore::snapshot_crc(long step, const std::vector<double>& data) {
+std::uint32_t snapshot_crc(long step, const std::vector<double>& data) {
   const std::uint64_t n = data.size();
   std::uint32_t c = crc32(&step, sizeof(step));
   c = crc32(&n, sizeof(n), c);

@@ -40,6 +40,11 @@ struct CheckpointPolicy {
   [[nodiscard]] long count(double app_time, double t_io, long max_count = 1024) const;
 };
 
+/// CRC-32 over (step, element count, payload): the integrity checksum of
+/// every stored snapshot, disk checkpoints and buddy replicas alike, and of
+/// the replica wire format.
+std::uint32_t snapshot_crc(long step, const std::vector<double>& data);
+
 /// Thread-safe checkpoint store shared by all simulated processes of a
 /// Runtime.  Keyed by (grid id, group rank); each write supersedes the
 /// previous checkpoint of that key but the superseded snapshot is retained
@@ -106,7 +111,6 @@ class CheckpointStore {
 
   [[nodiscard]] std::string path_for(int grid_id, int rank) const;
   [[nodiscard]] std::string prev_path_for(int grid_id, int rank) const;
-  static std::uint32_t snapshot_crc(long step, const std::vector<double>& data);
   /// Read + validate one on-disk generation; nullopt on any mismatch.
   std::optional<Snapshot> load_file(const std::string& path, int* corrupt_counter);
 

@@ -99,24 +99,4 @@ RecoveryPlan plan_recovery(const std::vector<ftr::comb::GridSlot>& slots,
   return plan;
 }
 
-std::vector<int> prestage_sources(const std::vector<ftr::comb::GridSlot>& slots,
-                                  PlannerMode mode,
-                                  const std::vector<int>& presumed_lost) {
-  std::vector<int> sources;
-  if (mode != PlannerMode::Lattice && mode != PlannerMode::ForceRc) {
-    // Disk-backed (and GCP-only) modes pull from the store, not from a
-    // surviving grid; there is nothing to warm.
-    return sources;
-  }
-  const std::set<int> lost(presumed_lost.begin(), presumed_lost.end());
-  std::set<int> uniq;
-  for (int id : lost) {
-    if (id < 0 || id >= static_cast<int>(slots.size())) continue;
-    const auto partner = rc_partner(slots, id);
-    if (partner.has_value() && lost.count(*partner) == 0) uniq.insert(*partner);
-  }
-  sources.assign(uniq.begin(), uniq.end());
-  return sources;
-}
-
 }  // namespace ftr::rec

@@ -90,18 +90,4 @@ RecoveryPlan plan_recovery(const std::vector<ftr::comb::GridSlot>& slots,
                            PlannerMode mode, const std::vector<GridFacts>& lost,
                            const std::vector<int>& already_lost = {});
 
-/// Proactive arming.  `presumed_lost` holds grids a rank *believes* lost a
-/// member — assembled from local failure-detector knowledge, before any
-/// agreement round — and the result is the surviving grids the eventual
-/// plan is likely to draw on as recovery sources under `mode` (the RC
-/// partners of the presumed-lost grids, when the mode can use them).
-/// Pure and local like plan_recovery: callers use it to warm sources
-/// while the pre-repair world is still intact (e.g. harvest in-flight
-/// buddy replicas that the world swap inside reconstruct() would orphan).
-/// It must never be treated as agreed facts — the negotiated plan after
-/// the repair is authoritative.
-[[nodiscard]] std::vector<int> prestage_sources(
-    const std::vector<ftr::comb::GridSlot>& slots, PlannerMode mode,
-    const std::vector<int>& presumed_lost);
-
 }  // namespace ftr::rec

@@ -173,6 +173,11 @@ TEST(OverlapRecovery, AcMinorityKillHandsOffAtItsOnlyDetectionPoint) {
   EXPECT_GE(rt.get(keys::kOverlapHandoffs, -1), 1.0);
   EXPECT_EQ(rt.get(keys::kOverlapAborts, 0), 0.0);
   EXPECT_DOUBLE_EQ(rt.get(keys::kRepairs, -1), 1.0);
+  // The repair leader records the plan it executed: grid 1 has no RC
+  // partner on the repair side and no buddy replica, so it rolls back
+  // through the disk rung and its block counts as recovery-source bytes.
+  EXPECT_DOUBLE_EQ(rt.get(std::string(keys::kPlanPrefix) + "disk", 0), 1.0);
+  EXPECT_GT(rt.get(keys::kRecoveryBytes, 0), 0.0);
   const double err = rt.get(keys::kErrorL1, -1);
   ASSERT_GE(err, 0.0);
   EXPECT_NEAR(err, err_clean, 1e-12);

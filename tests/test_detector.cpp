@@ -351,11 +351,13 @@ TEST(Detector, OffFallbackMatchesLegacyBitForBit) {
   EXPECT_EQ(ferr[0], err[0]);
 }
 
-// Proactive recovery (tentpole wiring): with cfg.proactive_recovery on, a
-// detector notification lets ranks whose collectives never touch the dead
-// process leave the solve loop and enter the repair early.  Correctness
-// must hold on every run regardless of whether the race fires; the counter
-// must fire at least once across a few attempts.
+// Proactive exits (RecoveryPolicy::Overlap): a detector notification lets
+// ranks whose collectives never touch the dead process leave the solve loop
+// and enter the repair early.  A chaos kill of the repair leader at
+// "repair.split" makes the overlap attempt fall back, so the proactive exits
+// lead into the classic stop-the-world reconstruct().  Correctness must
+// hold on every run regardless of whether the race fires; the counter must
+// fire at least once across a few attempts.
 TEST(Detector, ProactiveRecoveryKeepsResultsCorrect) {
   AppConfig base;
   base.layout = small_layout(Technique::CheckpointRestart);
@@ -374,8 +376,8 @@ TEST(Detector, ProactiveRecoveryKeepsResultsCorrect) {
   }
 
   AppConfig cfg = base;
-  cfg.proactive_recovery = true;
-  cfg.failures.kill_at_step[3] = 2;  // grid 0 loses a member early in the interval
+  cfg.recovery = ftr::core::RecoveryPolicy::Overlap;
+  cfg.failures.kill_at_step[5] = 2;  // grid 1 loses a member early in the interval
   bool saw_proactive = false;
   for (int attempt = 0; attempt < 12 && !saw_proactive; ++attempt) {
     // Aggressive detector thresholds widen the proactive window: the ring
@@ -386,8 +388,12 @@ TEST(Detector, ProactiveRecoveryKeepsResultsCorrect) {
     o.detector.suspect_after = 0.06;
     o.detector.confirm_after = 0.1;
     Runtime rt(o);
+    // Rank 4 leads grid 1's repair side: its death fails the continuation/
+    // repair split, and the classic reconstruct repairs both dead ranks.
+    ChaosInjector chaos(rt);
+    chaos.schedule({.phase = "repair.split", .victim = 4, .occurrence = 1});
     FtApp app(cfg);
-    ASSERT_EQ(app.launch(rt), 1);
+    ASSERT_EQ(app.launch(rt), 2);
     EXPECT_EQ(rt.get(ftr::core::keys::kRepairs, 0.0), 1.0);
     const double err = rt.get(ftr::core::keys::kErrorL1, -1.0);
     // CR rollback restores the exact pre-failure state, so the recovered

@@ -22,6 +22,7 @@
 #include "core/layout.hpp"
 #include "ftmpi/runtime.hpp"
 #include "recovery/buddy.hpp"
+#include "recovery/checkpoint.hpp"
 #include "recovery/planner.hpp"
 #include "recovery/replication.hpp"
 
@@ -275,8 +276,8 @@ TEST(BuddyStore, KeepsTwoCrcVerifiedGenerations) {
   BuddyStore store;
   const std::vector<double> g8{1.0, 2.0, 3.0};
   const std::vector<double> g16{4.0, 5.0, 6.0};
-  store.put(7, 1, 0, 8, g8, ftr::rec::replica_crc(8, g8));
-  store.put(7, 1, 0, 16, g16, ftr::rec::replica_crc(16, g16));
+  store.put(7, 1, 0, 8, g8, ftr::rec::snapshot_crc(8, g8));
+  store.put(7, 1, 0, 16, g16, ftr::rec::snapshot_crc(16, g16));
   const auto h = store.holding(7, 1, 0);
   EXPECT_EQ(h.newest, 16);
   EXPECT_EQ(h.prev, 8);
@@ -285,7 +286,7 @@ TEST(BuddyStore, KeepsTwoCrcVerifiedGenerations) {
   EXPECT_FALSE(store.read_at(7, 1, 0, 12).has_value());
   // A third generation demotes; the oldest is gone.
   const std::vector<double> g24{7.0};
-  store.put(7, 1, 0, 24, g24, ftr::rec::replica_crc(24, g24));
+  store.put(7, 1, 0, 24, g24, ftr::rec::snapshot_crc(24, g24));
   EXPECT_FALSE(store.read_at(7, 1, 0, 8).has_value());
   EXPECT_EQ(store.holding(7, 1, 0).prev, 16);
   // Replicas are keyed by holder pid: another pid sees nothing (diskless
@@ -299,8 +300,8 @@ TEST(BuddyStore, CorruptNewestFailsCrcAndPrevSurvives) {
   BuddyStore store;
   const std::vector<double> g8{1.5, 2.5};
   const std::vector<double> g16{3.5, 4.5};
-  store.put(3, 0, 1, 8, g8, ftr::rec::replica_crc(8, g8));
-  store.put(3, 0, 1, 16, g16, ftr::rec::replica_crc(16, g16));
+  store.put(3, 0, 1, 8, g8, ftr::rec::snapshot_crc(8, g8));
+  store.put(3, 0, 1, 16, g16, ftr::rec::snapshot_crc(16, g16));
   store.corrupt_newest(3, 0, 1);
   EXPECT_FALSE(store.read_at(3, 0, 1, 16).has_value());
   EXPECT_GE(store.corrupt_detected(), 1);
