@@ -1,17 +1,20 @@
 // Micro-benchmarks (google-benchmark, real wall time): kernels of the
 // library — the Lax-Wendroff sweeps (serial and per-rank), inter-grid
-// transfers, combination evaluation and GCP coefficient solving.  These
-// complement the figure-reproduction benches, which report virtual
-// (modeled) time.
+// transfers, combination evaluation, GCP coefficient solving and the
+// repair's group bookkeeping.  These complement the figure-reproduction
+// benches, which report virtual (modeled) time.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "advection/lax_wendroff.hpp"
 #include "advection/serial_solver.hpp"
 #include "combination/coefficients.hpp"
 #include "combination/combine.hpp"
+#include "core/reconstruct.hpp"
+#include "ftmpi/comm.hpp"
 #include "grid/decomposition.hpp"
 #include "grid/sampling.hpp"
 
@@ -120,6 +123,31 @@ void BM_GcpSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GcpSolve)->Arg(4)->Arg(6)->Arg(8);
+
+// One survivor's Fig. 6/7 bookkeeping after the Table I failures (the top
+// two ranks of the world): the failed list as the group difference of the
+// world and its shrunken group, translated back to world ranks, then the
+// survivor's split key.  Every survivor of a repair runs this once, so it
+// must stay linear in the world size.  An item is one world member.
+void BM_GroupDifference(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  ftmpi::Group world;
+  world.pids.resize(static_cast<size_t>(n));
+  std::iota(world.pids.begin(), world.pids.end(), 0);
+  ftmpi::Group shrunken = world;
+  shrunken.pids.resize(static_cast<size_t>(n - 2));
+  for (auto _ : state) {
+    const ftmpi::Group failed = ftmpi::group_difference(world, shrunken);
+    std::vector<int> in_failed(failed.pids.size());
+    std::iota(in_failed.begin(), in_failed.end(), 0);
+    const std::vector<int> failed_ranks =
+        ftmpi::group_translate_ranks(failed, in_failed, world);
+    benchmark::DoNotOptimize(
+        ftr::core::Reconstructor::select_rank_key(n / 2, n - 2, failed_ranks, n));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_GroupDifference)->Arg(1216)->Arg(4864);
 
 }  // namespace
 

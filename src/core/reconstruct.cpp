@@ -76,12 +76,14 @@ int Reconstructor::select_rank_key(int merged_rank, [[maybe_unused]] int shrunke
   // Fig. 7: survivors keep their original rank as the split key.  Build the
   // list of surviving original ranks in order; merged rank i (a survivor,
   // i < shrunken_size) originally held the i-th surviving rank.
+  std::vector<bool> failed(static_cast<size_t>(total_procs), false);
+  for (int f : failed_ranks) {
+    if (f >= 0 && f < total_procs) failed[static_cast<size_t>(f)] = true;
+  }
   std::vector<int> shrink_merge_list;
   shrink_merge_list.reserve(static_cast<size_t>(total_procs));
   for (int r = 0; r < total_procs; ++r) {
-    bool failed = false;
-    for (int f : failed_ranks) failed = failed || f == r;
-    if (!failed) shrink_merge_list.push_back(r);
+    if (!failed[static_cast<size_t>(r)]) shrink_merge_list.push_back(r);
   }
   assert(merged_rank < shrunken_size);
   assert(static_cast<size_t>(shrunken_size) == shrink_merge_list.size());

@@ -6,6 +6,8 @@
 // collective, matching the paper's observation that failed-list creation and
 // communicator reconstruction grow with the core count.
 
+#include <algorithm>
+
 #include "ftmpi/api.hpp"
 #include "ftmpi/detail.hpp"
 #include "ftmpi/psan.hpp"
@@ -53,20 +55,19 @@ int allreduce_bytes_tree(void* buf, std::size_t elem_size, int count, ReduceOp o
     std::int32_t pad;
   };
 
-  // Load the membership epoch before snapshotting the topology (see
-  // agree_tree): a death racing protocol entry interrupts our waits instead
-  // of leaving us blocked on a peer whose tree disagrees with ours.
-  std::uint64_t mepoch = detail::rt().membership_epoch().load();
-  const std::vector<int> alive_entry = detail::live_ranks(g);
-  const std::vector<int> live = detail::active_ranks(g);
-  int mi = -1;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live[i] == c.rank()) {
-      mi = static_cast<int>(i);
-      break;
-    }
-  }
-  if (mi < 0) return finish(c, kErrProcFailed);  // unreachable while alive
+  // Load the epochs before taking the member snapshot (see agree_tree): a
+  // death racing protocol entry interrupts our waits instead of leaving us
+  // blocked on a peer whose tree disagrees with ours.
+  Runtime& rt = detail::rt();
+  const std::atomic<std::uint64_t>& failure_epoch = rt.failure_epoch();
+  std::uint64_t fepoch = failure_epoch.load();
+  const std::shared_ptr<const MemberSnapshot> entry =
+      detail::member_snapshot(*c.context(), fepoch, rt.membership_epoch().load());
+  const std::vector<int>& live = entry->active;
+  const auto me = std::lower_bound(live.begin(), live.end(), c.rank());
+  // Unreachable while alive: a running rank is in every snapshot.
+  if (me == live.end() || *me != c.rank()) return finish(c, kErrProcFailed);
+  const int mi = static_cast<int>(me - live.begin());
 
   int outcome = kSuccess;
   detail::RecvOpts opts;
@@ -74,21 +75,23 @@ int allreduce_bytes_tree(void* buf, std::size_t elem_size, int count, ReduceOp o
   opts.match_payload_head = true;
   opts.payload_head = seq;
 
-  // Blocking receive that re-arms on benign membership interrupts and
-  // converts a mid-call *death* in this group into a failure outcome — the
-  // collective reports the error; recovery is the caller's job
-  // (revoke/shrink/agree), as in ULFM.  A member that merely finished is
-  // benign: in a correct program it can only exit after completing this very
+  // Blocking receive that re-arms on deaths outside this group and converts
+  // a mid-call *death* in it into a failure outcome — the collective reports
+  // the error; recovery is the caller's job (revoke/shrink/agree), as in
+  // ULFM.  Only deaths interrupt: a member that merely finished is benign,
+  // since in a correct program it can only exit after completing this very
   // collective, so anything we are owed is already en route.
   const auto recv_step = [&](ProcId peer, int tag, std::vector<std::byte>* payload) -> int {
     for (;;) {
-      opts.interrupt = &detail::rt().membership_epoch();
-      opts.interrupt_expect = mepoch;
+      opts.interrupt = &failure_epoch;
+      opts.interrupt_expect = fepoch;
       const int st = detail::ctrl_recv(peer, id, tag, payload, opts);
       if (st != kErrPending) return st;
-      const std::uint64_t m2 = detail::rt().membership_epoch().load();
-      if (detail::live_ranks(g) != alive_entry) return kErrProcFailed;
-      mepoch = m2;
+      const std::uint64_t f2 = failure_epoch.load();
+      const std::shared_ptr<const MemberSnapshot> now =
+          detail::member_snapshot(*c.context(), f2, rt.membership_epoch().load());
+      if (now != entry && now->alive != entry->alive) return kErrProcFailed;
+      fepoch = f2;
     }
   };
 

@@ -1,36 +1,54 @@
 #include "ftmpi/comm.hpp"
 
-#include <set>
-
 namespace ftmpi {
+
+namespace {
+
+/// pid -> rank in g, -1 for a non-member.  Pids are small dense integers,
+/// so one pass over g builds it and every lookup is O(1).
+std::vector<int> rank_table(const Group& g) {
+  ProcId top = kNullProc;
+  for (ProcId p : g.pids) top = std::max(top, p);
+  std::vector<int> table(static_cast<size_t>(top + 1), -1);
+  for (int r = 0; r < g.size(); ++r) {
+    const ProcId p = g.pids[static_cast<size_t>(r)];
+    if (p >= 0) table[static_cast<size_t>(p)] = r;
+  }
+  return table;
+}
+
+int rank_in(const std::vector<int>& table, ProcId p) {
+  return p >= 0 && static_cast<size_t>(p) < table.size() ? table[static_cast<size_t>(p)] : -1;
+}
+
+}  // namespace
 
 GroupOrder group_compare(const Group& a, const Group& b) {
   if (a.pids == b.pids) return GroupOrder::Ident;
   if (a.pids.size() != b.pids.size()) return GroupOrder::Unequal;
-  const std::set<ProcId> sa(a.pids.begin(), a.pids.end());
-  const std::set<ProcId> sb(b.pids.begin(), b.pids.end());
-  return sa == sb ? GroupOrder::Similar : GroupOrder::Unequal;
+  const std::vector<int> in_b = rank_table(b);
+  for (ProcId p : a.pids) {
+    if (rank_in(in_b, p) < 0) return GroupOrder::Unequal;
+  }
+  return GroupOrder::Similar;
 }
 
 Group group_difference(const Group& a, const Group& b) {
   Group out;
-  const std::set<ProcId> sb(b.pids.begin(), b.pids.end());
+  const std::vector<int> in_b = rank_table(b);
   for (ProcId p : a.pids) {
-    if (sb.count(p) == 0) out.pids.push_back(p);
+    if (rank_in(in_b, p) < 0) out.pids.push_back(p);
   }
   return out;
 }
 
 std::vector<int> group_translate_ranks(const Group& a, const std::vector<int>& ranks_in_a,
                                        const Group& b) {
+  const std::vector<int> in_b = rank_table(b);
   std::vector<int> out;
   out.reserve(ranks_in_a.size());
   for (int r : ranks_in_a) {
-    if (r < 0 || r >= a.size()) {
-      out.push_back(-1);
-      continue;
-    }
-    out.push_back(b.rank_of(a.pids[static_cast<size_t>(r)]));
+    out.push_back(r < 0 || r >= a.size() ? -1 : rank_in(in_b, a.pids[static_cast<size_t>(r)]));
   }
   return out;
 }

@@ -50,12 +50,25 @@ enum class GroupOrder { Ident, Similar, Unequal };
                                                      const std::vector<int>& ranks_in_a,
                                                      const Group& b);
 
+/// Which members of a communicator's agreement group were alive and which
+/// were still running, scanned after loading the runtime's failure and
+/// membership epochs.  Any death or exit the scan missed bumps an epoch past
+/// the stored value, so a rank that loaded the same two values and waits
+/// with an interrupt on the matching epoch learns of it.
+struct MemberSnapshot {
+  std::uint64_t failure_epoch = 0;
+  std::uint64_t membership_epoch = 0;
+  std::vector<int> alive;   ///< ranks of members not dead
+  std::vector<int> active;  ///< ranks of members neither dead nor finished
+};
+
 /// Shared communicator identity.  Never mutated after creation except for
-/// the revoked flag.
+/// the revoked flag and the agreement state below.
 struct CommContext {
   std::uint64_t id = 0;
   bool is_inter = false;
   Group group[2];  ///< group[0] only for intra; both sides for inter
+  Group both_sides;  ///< inter only: group[0] then group[1]
   std::atomic<bool> revoked{false};
   /// Generation counter of the tree-structured agreement.  Any participant
   /// that observes a failure mid-protocol bumps it; every in-flight wait
@@ -80,8 +93,18 @@ struct CommContext {
   AgreeDecision agree_decision;
   std::atomic<std::int64_t> agree_decided_round{-1};  ///< cheap pre-check
 
+  /// The newest member snapshot of the agreement group, shared by every
+  /// member's tree agreement and allreduce (detail::member_snapshot).
+  std::mutex snapshot_mu;  ///< guards snapshot
+  std::shared_ptr<const MemberSnapshot> snapshot;
+
   [[nodiscard]] const Group& local_group(int side) const { return group[side]; }
   [[nodiscard]] const Group& remote_group(int side) const { return group[1 - side]; }
+  /// The members an agreement spans: an intracommunicator's group, or both
+  /// groups of an intercommunicator (ULFM semantics).
+  [[nodiscard]] const Group& agreement_group() const {
+    return is_inter ? both_sides : group[0];
+  }
 };
 
 class Comm;  // fwd
@@ -108,6 +131,7 @@ class Comm {
 
   Comm(std::shared_ptr<CommContext> ctx, int side, ProcId self)
       : ctx_(std::move(ctx)), side_(side), self_(self),
+        rank_(ctx_ ? ctx_->local_group(side).rank_of(self) : -1),
         local_(std::make_shared<CommLocal>()) {}
 
   [[nodiscard]] bool is_null() const { return ctx_ == nullptr; }
@@ -115,9 +139,7 @@ class Comm {
   [[nodiscard]] bool is_revoked() const { return ctx_ && ctx_->revoked.load(); }
 
   /// Rank of the calling process in the (local) group; -1 if not a member.
-  [[nodiscard]] int rank() const {
-    return ctx_ ? ctx_->local_group(side_).rank_of(self_) : -1;
-  }
+  [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const { return ctx_ ? ctx_->local_group(side_).size() : 0; }
   [[nodiscard]] int remote_size() const {
     return ctx_ ? ctx_->remote_group(side_).size() : 0;
@@ -147,6 +169,7 @@ class Comm {
   std::shared_ptr<CommContext> ctx_;
   int side_ = 0;
   ProcId self_ = kNullProc;
+  int rank_ = -1;  ///< fixed: a context's groups never change
   std::shared_ptr<CommLocal> local_;
 };
 

@@ -37,6 +37,24 @@ FTR_YIELD void charge(double seconds);
 /// Current virtual time of the calling process.
 double now();
 
+/// Publishes, for the lifetime of a blocking wait loop, that the calling
+/// rank is parked (ProcessState::parked) and which exits can end its wait.
+/// Construct it under ps.mu before the loop's first predicate check.
+class ParkedScope {
+ public:
+  ParkedScope(ProcessState& ps, ProcId peer, bool on_membership) : ps_(ps) {
+    ps_.parked_peer.store(peer);
+    ps_.parked.store(ProcessState::kParked |
+                     (on_membership ? ProcessState::kParkedOnMembership : 0));
+  }
+  ParkedScope(const ParkedScope&) = delete;
+  ParkedScope& operator=(const ParkedScope&) = delete;
+  ~ParkedScope() { ps_.parked.store(0); }
+
+ private:
+  ProcessState& ps_;
+};
+
 struct RecvOpts {
   /// When set, a revocation of `revoke_ctx` interrupts the wait with
   /// kErrRevoked (user-facing operations).  Shrink/agree, which must operate
@@ -108,10 +126,14 @@ std::vector<T> unpack_vec(const std::vector<std::byte>& bytes) {
 /// Rank indices of g's members that are alive (global runtime truth).
 [[nodiscard]] std::vector<int> live_ranks(const Group& g);
 
-/// Rank indices of g's members that are alive *and still executing* — the
-/// members a tree topology can rely on to route messages (a finished rank
-/// can no more forward a verdict than a dead one).
-[[nodiscard]] std::vector<int> active_ranks(const Group& g);
+/// The member snapshot of ctx's agreement group for the epochs the caller
+/// loaded: the cached one when it was taken for the same two values, else a
+/// fresh scan that replaces it, so a tree protocol's members share one O(N)
+/// scan per membership change.  `rescan` forces a fresh scan.
+[[nodiscard]] std::shared_ptr<const MemberSnapshot> member_snapshot(CommContext& ctx,
+                                                                    std::uint64_t fepoch,
+                                                                    std::uint64_t mepoch,
+                                                                    bool rescan = false);
 
 /// Charge the virtual cost of `rounds` full gather+release exchanges between
 /// a coordinator and `nprocs-1` peers without sending real messages.  The

@@ -288,14 +288,6 @@ void on_wake(const void* rt, ProcId dst) {
   if (it != g_ranks.end()) it->second.blocked = false;
 }
 
-void on_notify_all(const void* rt) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  for (auto it = g_ranks.lower_bound({rt, kNullProc});
-       it != g_ranks.end() && it->first.first == rt; ++it) {
-    it->second.blocked = false;
-  }
-}
-
 void on_waker_arm() {
   std::lock_guard<std::mutex> lock(g_mu);
   ++g_wakers;

@@ -22,9 +22,11 @@
 //
 // Soundness rests on the runtime's own wake discipline: every event that
 // could satisfy a recorded wait (message delivery, kill, revoke,
-// interrupt, peer exit) notifies the waiter's condition variable, and the
-// corresponding hook below clears the registration first, so a rank that
-// is registered blocked at analysis time really has nothing pending.
+// interrupt, peer exit) notifies the waiter's condition variable, and
+// on_wake clears that waiter's registration first, so a rank that is
+// registered blocked at analysis time really has nothing pending.  A
+// notify that skips a rank (an exit it does not watch) leaves it
+// registered: the event cannot change its wait.
 //
 // Everything here compiles to nothing unless FTR_DLSAN is defined; the
 // macros below keep the hot paths free of even argument evaluation in
@@ -61,7 +63,7 @@ void on_proc_released(const void* rt, ProcId pid);
 /// Mark the calling rank live (thread_main(), before the entry runs).
 void on_thread_start();
 
-/// Mark the calling rank gone (thread_main(), after notify_all_procs —
+/// Mark the calling rank gone (thread_main(), before the exit notify —
 /// peers re-evaluate their predicates against the shrunk live set).
 void on_thread_exit();
 
@@ -82,13 +84,11 @@ void on_block_probe(const Comm& c, int src, int tag, const char* file, int line)
 /// Clear the calling rank's registration (immediately after the cv wait).
 void on_unblock();
 
-/// A message was delivered to `dst` of runtime `rt`: its wait predicate
-/// may now pass, so its registration is no longer a blocked fact.
+/// `dst` of runtime `rt` is being woken (a message delivered to it, or a
+/// kill, revoke, agreement restart or exit notify that reaches it): its
+/// wait predicate may now pass, so its registration is no longer a blocked
+/// fact.
 void on_wake(const void* rt, ProcId dst);
-
-/// Every rank of `rt` was notified (kill, revoke, peer exit): all wait
-/// predicates re-evaluate, so every registration is cleared.
-void on_notify_all(const void* rt);
 
 /// A real-time waker (async failure injector thread) is armed/disarmed:
 /// while any is armed, wall-clock events can unblock ranks behind the
@@ -111,7 +111,6 @@ void on_runtime_destroyed(const void* rt);
   ::ftmpi::dlsan::on_block_probe((c), (src), (tag), __FILE__, __LINE__)
 #define FTR_DLSAN_UNBLOCK() ::ftmpi::dlsan::on_unblock()
 #define FTR_DLSAN_WAKE(rt, dst) ::ftmpi::dlsan::on_wake((rt), (dst))
-#define FTR_DLSAN_NOTIFY_ALL(rt) ::ftmpi::dlsan::on_notify_all((rt))
 #define FTR_DLSAN_WAKER_ARM() ::ftmpi::dlsan::on_waker_arm()
 #define FTR_DLSAN_WAKER_DISARM() ::ftmpi::dlsan::on_waker_disarm()
 #define FTR_DLSAN_RUNTIME_DESTROYED(rt) ::ftmpi::dlsan::on_runtime_destroyed((rt))
@@ -126,7 +125,6 @@ void on_runtime_destroyed(const void* rt);
 #define FTR_DLSAN_BLOCK_PROBE(c, src, tag) ((void)0)
 #define FTR_DLSAN_UNBLOCK() ((void)0)
 #define FTR_DLSAN_WAKE(rt, dst) ((void)0)
-#define FTR_DLSAN_NOTIFY_ALL(rt) ((void)0)
 #define FTR_DLSAN_WAKER_ARM() ((void)0)
 #define FTR_DLSAN_WAKER_DISARM() ((void)0)
 #define FTR_DLSAN_RUNTIME_DESTROYED(rt) ((void)0)

@@ -164,6 +164,9 @@ FTR_YIELD int probe(int src, int tag, const Comm& c, Status* status) {
   FTR_PSAN_USE(c, "probe");
   ProcessState& ps = detail::self();
   std::unique_lock<std::mutex> lock(ps.mu);
+  // Only the named sender's exit can make the probe hopeless.
+  const detail::ParkedScope parked(ps, src == kAnySource ? kNullProc : c.peer_pid(src),
+                                   /*on_membership=*/false);
   for (;;) {
     if (ps.dead.load()) throw ProcessKilled{ps.pid};
     // Check under the lock the wait parks with: a delivery, revoke or sender

@@ -48,13 +48,26 @@ std::vector<int> live_ranks(const Group& g) {
   return out;
 }
 
-std::vector<int> active_ranks(const Group& g) {
-  std::vector<int> out;
+std::shared_ptr<const MemberSnapshot> member_snapshot(CommContext& ctx, std::uint64_t fepoch,
+                                                      std::uint64_t mepoch, bool rescan) {
+  std::lock_guard<std::mutex> lock(ctx.snapshot_mu);
+  const std::shared_ptr<const MemberSnapshot>& cached = ctx.snapshot;
+  if (!rescan && cached && cached->failure_epoch == fepoch &&
+      cached->membership_epoch == mepoch) {
+    return cached;
+  }
+  auto snap = std::make_shared<MemberSnapshot>();
+  snap->failure_epoch = fepoch;
+  snap->membership_epoch = mepoch;
+  const Group& g = ctx.agreement_group();
   for (int r = 0; r < g.size(); ++r) {
     const ProcessState& p = rt().proc(g.pids[static_cast<size_t>(r)]);
-    if (!p.dead.load() && !p.finished.load()) out.push_back(r);
+    if (p.dead.load()) continue;
+    snap->alive.push_back(r);
+    if (!p.finished.load()) snap->active.push_back(r);
   }
-  return out;
+  ctx.snapshot = snap;
+  return snap;
 }
 
 void charge_coordinator_rounds(int rounds, int nprocs, bool cross_host) {
@@ -110,7 +123,14 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
   ProcessState& ps = self();
   const CostModel& cm = ps.rt->cost();
   const bool det = detector::enabled(ps);
+  const std::atomic<std::uint64_t>* membership = &ps.rt->membership_epoch();
   std::unique_lock<std::mutex> lock(ps.mu);
+  const ParkedScope parked(
+      ps,
+      spec.watch.empty()       ? kNullProc
+      : spec.watch.size() == 1 ? spec.watch.front()->pid
+                               : ProcessState::kManyPeers,
+      spec.interrupt == membership || spec.interrupt2 == membership);
   for (;;) {
     if (ps.dead.load()) throw ProcessKilled{ps.pid};
     if (det && ps.det_pending.load(std::memory_order_relaxed) > 0) {

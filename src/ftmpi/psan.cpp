@@ -220,7 +220,7 @@ std::uint64_t stream_hash(const Comm& c) {
 
 std::uint64_t current_epoch() {
   ProcessState* ps = Runtime::current();
-  return ps == nullptr ? 0 : ps->rt->failure_epoch();
+  return ps == nullptr ? 0 : ps->rt->failure_epoch().load();
 }
 
 void verify_at_agree(const Comm& c, const Group& g, const std::vector<AgreeReport>& reports,
@@ -232,7 +232,7 @@ void verify_at_agree(const Comm& c, const Group& g, const std::vector<AgreeRepor
   // unconfirmed, or the reports straddle a failure epoch.
   if (!no_dead || c.is_revoked()) return;
   if (reports.size() != static_cast<std::size_t>(g.size())) return;
-  const std::uint64_t epoch = ps->rt->failure_epoch();
+  const std::uint64_t epoch = ps->rt->failure_epoch().load();
   for (const AgreeReport& r : reports) {
     if (r.epoch != epoch) return;
   }

@@ -154,14 +154,6 @@ bool Runtime::host_failed(int host) const {
   return host_failed_[static_cast<size_t>(host)];
 }
 
-std::vector<ProcId> Runtime::procs_on_host(int host) const {
-  std::vector<ProcId> out;
-  procs_.for_each([&](const ProcessState& ps) {
-    if (ps.host == host) out.push_back(ps.pid);
-  });
-  return out;
-}
-
 ProcId Runtime::create_process(const std::string& app, std::vector<std::string> argv,
                                int preferred_host, double start_clock) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -231,14 +223,16 @@ void Runtime::thread_main(ProcessState* ps) {
   }
   ps->finished.store(true);
   membership_epoch_.fetch_add(1);
+  bool last = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    --active_;
+    last = --active_ == 0;
   }
-  done_cv_.notify_all();
+  // Only the last exit can end run()'s wait.
+  if (last) done_cv_.notify_all();
   // Peers blocked on this process must re-evaluate their wait predicates.
   FTR_DLSAN_THREAD_EXIT();
-  notify_all_procs();
+  notify_exit(ps->pid);
   tls_proc = nullptr;
 }
 
@@ -331,26 +325,12 @@ bool Runtime::is_dead(ProcId pid) const {
   return ps == nullptr || ps->dead.load();
 }
 
-bool Runtime::any_dead(const Group& g) const {
-  for (ProcId p : g.pids) {
-    if (is_dead(p)) return true;
-  }
-  return false;
-}
-
 std::vector<ProcId> Runtime::dead_members(const Group& g) const {
   std::vector<ProcId> out;
   for (ProcId p : g.pids) {
     if (is_dead(p)) out.push_back(p);
   }
   return out;
-}
-
-int Runtime::lowest_live_rank(const Group& g) const {
-  for (int r = 0; r < g.size(); ++r) {
-    if (!is_dead(g.pids[static_cast<size_t>(r)])) return r;
-  }
-  return -1;
 }
 
 int Runtime::host_of(ProcId pid) const { return proc(pid).host; }
@@ -376,6 +356,11 @@ std::vector<ProcId> Runtime::active_pids() const {
 std::shared_ptr<CommContext> Runtime::create_context(Group local, Group remote, bool inter) {
   auto ctx = std::make_shared<CommContext>();
   ctx->is_inter = inter;
+  if (inter) {
+    ctx->both_sides.pids = local.pids;
+    ctx->both_sides.pids.insert(ctx->both_sides.pids.end(), remote.pids.begin(),
+                                remote.pids.end());
+  }
   ctx->group[0] = std::move(local);
   ctx->group[1] = std::move(remote);
   std::lock_guard<std::mutex> lock(ctx_mu_);
@@ -412,15 +397,32 @@ void Runtime::deliver(ProcId dst, Message msg) {
   ps->cv.notify_all();
 }
 
-void Runtime::notify_all_procs() {
-  FTR_DLSAN_NOTIFY_ALL(this);
-  procs_.for_each([](ProcessState& ps) {
-    if (ps.finished.load()) return;  // exited: never waits again
+template <class Filter>
+void Runtime::wake_parked(Filter&& wakes) {
+  procs_.for_each([&](ProcessState& ps) {
+    // The caller published its state change before this load, and a waiter
+    // publishes `parked` before its first predicate check (both seq_cst):
+    // a waiter read here as not parked will see the change when it checks.
+    const int parked = ps.parked.load();
+    if (parked == 0 || !wakes(ps, parked)) return;
+    FTR_DLSAN_WAKE(this, ps.pid);
     // Passing through the waiter's lock orders this notify after its
     // predicate check: the waiter either has not checked yet, and will see
     // the new state, or is already parked in cv.wait and is woken.
     { std::lock_guard<std::mutex> lock(ps.mu); }
     ps.cv.notify_all();
+  });
+}
+
+void Runtime::notify_all_procs() {
+  wake_parked([](const ProcessState&, int) { return true; });
+}
+
+void Runtime::notify_exit(ProcId pid) {
+  wake_parked([pid](const ProcessState& ps, int parked) {
+    if ((parked & ProcessState::kParkedOnMembership) != 0) return true;
+    const ProcId peer = ps.parked_peer.load();
+    return peer == pid || peer == ProcessState::kManyPeers;
   });
 }
 

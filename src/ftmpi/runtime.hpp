@@ -85,6 +85,17 @@ struct ProcessState {
   /// Failure-detector state; touched only by the owning rank thread.
   detector::State det;
 
+  /// While this rank runs a blocking wait loop (detail::ParkedScope):
+  /// kParked, plus kParkedOnMembership when a membership-epoch change
+  /// interrupts the wait; 0 outside any wait.  Notifiers skip ranks at 0.
+  static constexpr int kParked = 1;
+  static constexpr int kParkedOnMembership = 2;
+  std::atomic<int> parked{0};
+  /// The one peer whose exit can end the parked wait (kNullProc for none,
+  /// kManyPeers when the wait watches several).  Stored before `parked`.
+  static constexpr ProcId kManyPeers = -2;
+  std::atomic<ProcId> parked_peer{kNullProc};
+
   std::uint64_t world_ctx = 0;   ///< context id of this process's COMM_WORLD
   std::uint64_t parent_ctx = 0;  ///< intercommunicator to the spawner (0 = none)
   int world_rank = -1;
@@ -143,17 +154,12 @@ class Runtime {
   /// original load-balancing characteristics.
   void fail_host(int host);
   [[nodiscard]] bool host_failed(int host) const;
-  /// Pids currently placed on `host` (live or dead).
-  [[nodiscard]] std::vector<ProcId> procs_on_host(int host) const;
 
-  // Pid lookups (proc, is_dead, host_of, the group queries, active_pids,
+  // Pid lookups (proc, is_dead, host_of, dead_members, active_pids,
   // total_processes) take no lock: see ProcessTable.
   /// True for a dead process and for a pid that was never created.
   [[nodiscard]] bool is_dead(ProcId pid) const;
-  [[nodiscard]] bool any_dead(const Group& g) const;
   [[nodiscard]] std::vector<ProcId> dead_members(const Group& g) const;
-  /// Index of the lowest-ranked live member of g, or -1 if none.
-  [[nodiscard]] int lowest_live_rank(const Group& g) const;
 
   [[nodiscard]] int host_of(ProcId pid) const;
   [[nodiscard]] int slots_per_host() const { return opt_.slots_per_host; }
@@ -164,7 +170,11 @@ class Runtime {
   /// Killed processes stay listed (a crash never deregisters; the ring
   /// timeout is what detects it); normally finished processes drop out.
   [[nodiscard]] std::vector<ProcId> active_pids() const;
-  [[nodiscard]] std::uint64_t failure_epoch() const { return failure_epoch_.load(); }
+  /// Monotonic counter bumped by every kill, after the victim is marked
+  /// dead.  The tree allreduce watches it to learn of deaths mid-protocol.
+  [[nodiscard]] const std::atomic<std::uint64_t>& failure_epoch() const {
+    return failure_epoch_;
+  }
   /// Monotonic counter bumped whenever the active-process set shrinks (a
   /// kill *or* a normal exit).  Protocols that build a topology over a
   /// snapshot of the active set watch this atomic to learn that their
@@ -228,9 +238,11 @@ class Runtime {
   /// Enqueue a message; drops silently if the destination is dead
   /// (matching a network that cannot deliver to a crashed process).
   void deliver(ProcId dst, Message msg);
-  /// Wake every blocked process so waiting predicates re-evaluate (used by
-  /// kill, exit, revoke and agreement restarts).  Takes each process's mu
-  /// in turn, so the caller must hold no ProcessState::mu.
+  /// Wake every process parked in a wait so its predicates re-evaluate
+  /// (kill, revoke and agreement restarts); processes outside a wait are
+  /// skipped.  Call it after publishing the state change.  It takes each
+  /// woken process's mu in turn, so the caller must hold no
+  /// ProcessState::mu.
   void notify_all_procs();
 
   // --- results blackboard ---------------------------------------------------
@@ -284,6 +296,12 @@ class Runtime {
   };
 
   void thread_main(ProcessState* ps);
+  /// Wake the parked processes for which wakes(ps, parked) holds.
+  template <class Filter>
+  void wake_parked(Filter&& wakes);
+  /// Wake the waits `pid`'s exit can change: those watching it and those
+  /// interrupted by the membership epoch.
+  void notify_exit(ProcId pid);
   /// Find/extend a host with a free slot; returns {host, slot}.  mu_ held.
   std::pair<int, int> allocate_slot_locked(int preferred_host);
   /// Mark ps dead and free its host slot; false if it already died or

@@ -113,6 +113,24 @@ void bump_agree_gen(CommContext* ctx) {
   detail::rt().notify_all_procs();
 }
 
+/// bump_agree_gen, unless the generation already moved past `gen`: many
+/// members find the same stale snapshot at once, and one fresh generation
+/// restarts them all.
+void bump_agree_gen_once(CommContext* ctx, std::uint64_t gen) {
+  if (ctx->agree_gen.compare_exchange_strong(gen, gen + 1)) detail::rt().notify_all_procs();
+}
+
+/// Restart the agreement after this process saw a peer fail.  The killer
+/// may not have bumped the epochs yet, so first publish a fresh member
+/// snapshot under the epochs as they stand: a peer that restarts on the
+/// bump must not be handed the stale tree again.
+void restart_after_failure(CommContext* ctx) {
+  Runtime& rt = detail::rt();
+  (void)detail::member_snapshot(*ctx, rt.failure_epoch().load(), rt.membership_epoch().load(),
+                                /*rescan=*/true);
+  bump_agree_gen(ctx);
+}
+
 /// Publish-then-flood verdict adoption: once the root has decided round r
 /// (which it only does after folding a contribution from *every* process
 /// still running), any participant stuck at round r may adopt the cached
@@ -127,14 +145,19 @@ bool try_adopt_decision(CommContext* ctx, std::int64_t round, int* flag,
   return true;
 }
 
-int agree_tree(const Comm& c, int* flag, const Group& g) {
+int agree_tree(const Comm& c, int* flag) {
   chaos_point("agree.tree");
   const std::uint64_t id = c.context()->id;
   CommContext* ctx = c.context();
+  const Group& g = ctx->agreement_group();
   const ProcessState& me = detail::self();
-  const CostModel& cm = detail::rt().cost();
+  Runtime& rt = detail::rt();
+  const CostModel& cm = rt.cost();
   const std::int64_t round = c.local().agree_round;
   const int max_attempts = 4 * g.size() + 8;
+  // This process's rank in the agreement group: side 1 of an
+  // intercommunicator follows all of side 0.
+  const int my_rank = c.side() == 0 ? c.rank() : ctx->group[0].size() + c.rank();
 
   const auto complete = [&](int agreed, const std::vector<ProcId>& dead) -> int {
     *flag = agreed;
@@ -156,32 +179,32 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
       }
     }
     const std::uint64_t gen = ctx->agree_gen.load();
-    // Load the membership epoch *before* snapshotting the topology: any
-    // membership change after the snapshot then interrupts our waits, and a
-    // spurious extra interrupt is merely a re-validation.
-    std::uint64_t mepoch = detail::rt().membership_epoch().load();
-    const std::vector<int> live = detail::active_ranks(g);
-    if (live.empty()) return kErrComm;
-    int mi = -1;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (g.pids[static_cast<size_t>(live[i])] == me.pid) {
-        mi = static_cast<int>(i);
-        break;
-      }
-    }
-    if (mi < 0) return kErrComm;  // unreachable while this process is alive
+    // Load the epochs *before* taking the member snapshot: any membership
+    // change after the snapshot then interrupts our waits, and a spurious
+    // extra interrupt is merely a re-validation.  The snapshot is shared by
+    // every member that loaded the same epochs.
+    std::uint64_t mepoch = rt.membership_epoch().load();
+    const std::shared_ptr<const MemberSnapshot> snap =
+        detail::member_snapshot(*ctx, rt.failure_epoch().load(), mepoch);
+    const std::vector<int>& live = snap->active;
+    const auto mine = std::lower_bound(live.begin(), live.end(), my_rank);
+    // Unreachable while this process is alive: it is in every snapshot.
+    if (mine == live.end() || *mine != my_rank) return kErrComm;
+    const int mi = static_cast<int>(mine - live.begin());
 
     // Handle a wait interrupted by kErrPending.  Returns true when the
     // attempt must restart; false when the interrupt was benign (a process
     // outside this group exited) and the wait should simply be re-armed.
     const auto handle_pending = [&]() {
       if (ctx->agree_gen.load() != gen) return true;  // peers re-routed
-      const std::uint64_t m2 = detail::rt().membership_epoch().load();
-      if (detail::active_ranks(g) != live) {
+      const std::uint64_t m2 = rt.membership_epoch().load();
+      const std::shared_ptr<const MemberSnapshot> now =
+          detail::member_snapshot(*ctx, rt.failure_epoch().load(), m2);
+      if (now != snap && now->active != live) {
         // Our topology snapshot went stale without any of our waits failing
         // (the death/exit raced protocol entry).  Force the whole cohort
         // onto a fresh generation so everyone rebuilds the same tree.
-        bump_agree_gen(ctx);
+        bump_agree_gen_once(ctx, gen);
         return true;
       }
       mepoch = m2;
@@ -191,10 +214,9 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
     // -- reduction up: collect the subtree's entries -------------------------
     std::vector<TreeAgreeEntry> entries;
 #ifdef FTR_PSAN
-    entries.push_back({live[static_cast<size_t>(mi)], me.pid, *flag, 0,
-                       psan::stream_hash(c), psan::current_epoch()});
+    entries.push_back({my_rank, me.pid, *flag, 0, psan::stream_hash(c), psan::current_epoch()});
 #else
-    entries.push_back({live[static_cast<size_t>(mi)], me.pid, *flag, 0, 0, 0});
+    entries.push_back({my_rank, me.pid, *flag, 0, 0, 0});
 #endif
     bool restart = false;
     for (int k = 1; k <= 2 && !restart; ++k) {
@@ -206,7 +228,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
         detail::RecvOpts opts;
         opts.interrupt = &ctx->agree_gen;
         opts.interrupt_expect = gen;
-        opts.interrupt2 = &detail::rt().membership_epoch();
+        opts.interrupt2 = &rt.membership_epoch();
         opts.interrupt2_expect = mepoch;
         opts.match_payload_head = true;
         opts.payload_head = gen;
@@ -219,7 +241,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
           continue;
         }
         if (rc != kSuccess) {  // child subtree root died: re-route around it
-          bump_agree_gen(ctx);
+          restart_after_failure(ctx);
           restart = true;
           break;
         }
@@ -259,7 +281,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
           g.pids[static_cast<size_t>(live[static_cast<size_t>((mi - 1) / 2)])];
       if (detail::ctrl_send(parent, id, tags::kAgreeTreeUp, up.data(), up.size()) !=
           kSuccess) {
-        bump_agree_gen(ctx);
+        restart_after_failure(ctx);
         continue;
       }
       for (;;) {
@@ -267,7 +289,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
         detail::RecvOpts opts;
         opts.interrupt = &ctx->agree_gen;
         opts.interrupt_expect = gen;
-        opts.interrupt2 = &detail::rt().membership_epoch();
+        opts.interrupt2 = &rt.membership_epoch();
         opts.interrupt2_expect = mepoch;
         opts.match_payload_head = true;
         opts.payload_head = gen;
@@ -277,7 +299,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
           continue;
         }
         if (rc != kSuccess) {  // parent died holding our verdict: re-route
-          bump_agree_gen(ctx);
+          restart_after_failure(ctx);
           break;
         }
         if (payload.size() < sizeof(TreeAgreeDownHead)) continue;
@@ -295,7 +317,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
       }
       int agreed = ~0;
       for (const TreeAgreeEntry& e : entries) agreed &= e.flag;
-      const std::vector<ProcId> dead = detail::rt().dead_members(g);
+      const std::vector<ProcId> dead = rt.dead_members(g);
 #ifdef FTR_PSAN
       // Every contributor is still blocked on the verdict, so its stream
       // cannot advance under us.
@@ -327,7 +349,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
       if (!dead.empty()) {
         std::memcpy(down.data() + sizeof(dh), dead.data(), dead.size() * sizeof(ProcId));
       }
-      detail::rt().trace().record(detail::now(), me.pid, TraceEvent::Agree, agreed);
+      rt.trace().record(detail::now(), me.pid, TraceEvent::Agree, agreed);
     }
 
     // Broadcast down: forward the verdict to the children before returning.
@@ -429,14 +451,7 @@ int comm_agree(const Comm& c, int* flag) {
 
   // On an intercommunicator, agreement spans both groups (ULFM semantics;
   // the paper's repair protocol calls agree on the parent/child intercomm).
-  Group g = c.group();
-  if (c.is_inter()) {
-    Group u = c.context()->group[0];
-    u.pids.insert(u.pids.end(), c.context()->group[1].pids.begin(),
-                  c.context()->group[1].pids.end());
-    g = std::move(u);
-  }
-  return agree_tree(c, flag, g);
+  return agree_tree(c, flag);
 }
 
 }  // namespace ftmpi

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "ftmpi/api.hpp"
@@ -195,6 +197,89 @@ TEST(FtmpiFailures, RevokeWakesPendingRecvWhileRevokerLives) {
     rt.run("main", 2);
     ASSERT_EQ(code.load(), kErrRevoked) << "run " << run;
     ASSERT_EQ(answer.load(), 1) << "run " << run;
+  }
+}
+
+TEST(FtmpiFailures, PeerExitWakesItsWaiterWhileBystandersStayParked) {
+  // An exit wakes only the waits it can end.  Rank 1 returns without
+  // sending, which must end rank 0's receive from it; rank 2 waits on rank
+  // 3 across that exit and must still get its message, which rank 3 sends
+  // only after rank 0 has reported.
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 5.0;
+  for (int run = 0; run < ftr_test::kRaceRuns; ++run) {
+    Runtime rt(opt);
+    std::atomic<int> code{-1};
+    std::atomic<int> answer{-1};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      int v = 0;
+      if (w.rank() == 0) {
+        code = recv(&v, 1, 1, 0, w);  // rank 1 never sends
+      } else if (w.rank() == 2) {
+        ASSERT_EQ(recv(&v, 1, 3, 0, w), kSuccess);
+        answer = v;
+      } else if (w.rank() == 3) {
+        while (code.load() < 0) std::this_thread::yield();
+        v = 7;
+        ASSERT_EQ(send(&v, 1, 2, 0, w), kSuccess);
+      }
+    });
+    rt.run("main", 4);
+    ASSERT_EQ(code.load(), kErrProcFailed) << "run " << run;
+    ASSERT_EQ(answer.load(), 7) << "run " << run;
+  }
+}
+
+TEST(FtmpiFailures, TreeAllreduceReportsAMidCallDeathToEverySurvivor) {
+  // An interior tree node dies while the others wait in the allreduce:
+  // every survivor returns kErrProcFailed and none hangs.
+  constexpr int kRanks = 16;
+  constexpr int kVictim = 2;
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 10.0;
+  for (int run = 0; run < 50; ++run) {
+    Runtime rt(opt);
+    std::atomic<int> entering{0};
+    std::atomic<int> failed{0};
+    std::atomic<int> other{0};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      if (w.rank() == kVictim) {
+        while (entering.load() < kRanks - 1) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        abort_self();
+      }
+      const long long mine = w.rank();
+      long long sum = 0;
+      ++entering;
+      ++(allreduce(&mine, &sum, 1, ReduceOp::Sum, w) == kErrProcFailed ? failed : other);
+    });
+    EXPECT_EQ(rt.run("main", kRanks), 1);
+    ASSERT_EQ(failed.load(), kRanks - 1) << "run " << run;
+    ASSERT_EQ(other.load(), 0) << "run " << run;
+  }
+}
+
+TEST(FtmpiFailures, TreeAllreduceSumsWhileRanksExitAsTheyReturn) {
+  // Every rank exits as soon as its own allreduce returns, while the rest of
+  // the tree is still being released.  An exit is no failure: every rank
+  // gets the full sum.
+  constexpr int kRanks = 64;
+  for (int run = 0; run < 20; ++run) {
+    Runtime rt(small_opts());
+    std::atomic<int> correct{0};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      const long long mine = w.rank();
+      long long sum = 0;
+      if (allreduce(&mine, &sum, 1, ReduceOp::Sum, w) == kSuccess &&
+          sum == kRanks * (kRanks - 1) / 2) {
+        ++correct;
+      }
+    });
+    EXPECT_EQ(rt.run("main", kRanks), 0);
+    ASSERT_EQ(correct.load(), kRanks) << "run " << run;
   }
 }
 
