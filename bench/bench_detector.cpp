@@ -13,10 +13,8 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ftmpi/api.hpp"
@@ -25,15 +23,41 @@
 
 namespace {
 
-/// Real-time startup rendezvous: rank threads start sequentially, so every
-/// ring measurement must hold all ranks at the line until the ring is up
-/// (same idiom as tests/test_detector.cpp).
+/// Startup rendezvous: ranks start in order, so every ring measurement
+/// must hold all ranks at the line until the ring is up (same idiom as
+/// tests/test_detector.cpp).
 void rendezvous(std::atomic<int>& arrived, int expected) {
   ++arrived;
-  while (arrived.load() < expected) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  while (arrived.load() < expected) ftmpi::yield();
 }
+
+/// Keeps the ranks' virtual clocks together, one tick at a time (same idiom
+/// as tests/test_detector.cpp): ranks share worker threads, and a rank
+/// whose worker the OS deschedules would otherwise fall seconds of virtual
+/// time behind and be suspected.  A rank starts its next tick only when
+/// every other rank has caught up with it, or is dead or finished.
+class Lockstep {
+ public:
+  explicit Lockstep(int world) : ticks_(static_cast<std::size_t>(world)) {}
+
+  void tick(double dt) {
+    const ftmpi::Comm& w = ftmpi::world();
+    const int mine = ticks_[static_cast<std::size_t>(w.rank())].load();
+    for (int r = 0; r < w.size(); ++r) {
+      const ftmpi::ProcessState& p =
+          ftmpi::runtime().proc(w.group().pids[static_cast<std::size_t>(r)]);
+      while (ticks_[static_cast<std::size_t>(r)].load() < mine && !p.dead.load() &&
+             !p.finished.load()) {
+        ftmpi::yield();
+      }
+    }
+    ftmpi::advance(dt);
+    ++ticks_[static_cast<std::size_t>(w.rank())];
+  }
+
+ private:
+  std::vector<std::atomic<int>> ticks_;
+};
 
 /// One full detection episode on a fresh world of `nprocs`: a middle rank
 /// dies, every survivor ticks its virtual clock until it learns, and the
@@ -46,6 +70,7 @@ double detection_latency_episode(int nprocs) {
   ftmpi::Runtime rt(o);
   const int victim = nprocs / 2;
   std::atomic<int> arrived{0};
+  Lockstep pace(nprocs);
   std::mutex mu;
   double worst = 0.0;
   rt.register_app("app", [&](const std::vector<std::string>&) {
@@ -54,8 +79,7 @@ double detection_latency_episode(int nprocs) {
     rendezvous(arrived, nprocs);
     if (w.rank() == victim) ftmpi::abort_self();
     for (int t = 0; t < 1200; ++t) {
-      ftmpi::advance(0.05);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      pace.tick(0.05);
       bool mine = false;
       for (const auto& r : ftmpi::detector_records()) {
         if (r.dead == vpid) {

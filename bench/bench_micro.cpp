@@ -1,20 +1,26 @@
 // Micro-benchmarks (google-benchmark, real wall time): kernels of the
 // library — the Lax-Wendroff sweeps (serial and per-rank), inter-grid
-// transfers, combination evaluation, GCP coefficient solving and the
-// repair's group bookkeeping.  These complement the figure-reproduction
-// benches, which report virtual (modeled) time.
+// transfers, combination evaluation, GCP coefficient solving, the
+// repair's group bookkeeping and the runtime's message round trip.  These
+// complement the figure-reproduction benches, which report virtual
+// (modeled) time.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "advection/lax_wendroff.hpp"
 #include "advection/serial_solver.hpp"
 #include "combination/coefficients.hpp"
 #include "combination/combine.hpp"
 #include "core/reconstruct.hpp"
+#include "ftmpi/api.hpp"
 #include "ftmpi/comm.hpp"
+#include "ftmpi/runtime.hpp"
 #include "grid/decomposition.hpp"
 #include "grid/sampling.hpp"
 
@@ -148,6 +154,30 @@ void BM_GroupDifference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_GroupDifference)->Arg(1216)->Arg(4864);
+
+// Two ranks bounce an 8-byte message back and forth, N round trips in one
+// run(): each hop parks the receiver and wakes it from the sender, the
+// runtime's hottest path.  Parking is a user-space fiber switch, so a
+// regression to an OS wake-up per message shows here.  An item is one
+// round trip.
+void BM_PingPong(benchmark::State& state) {
+  const int trips = static_cast<int>(state.range(0));
+  ftmpi::Runtime rt;
+  rt.register_app("pingpong", [trips](const std::vector<std::string>&) {
+    const ftmpi::Comm& w = ftmpi::world();
+    const int peer = 1 - w.rank();
+    std::uint64_t v = 0;
+    for (int i = 0; i < trips; ++i) {
+      if (w.rank() == 0 && ftmpi::send(&v, 1, peer, 0, w) != ftmpi::kSuccess) return;
+      if (ftmpi::recv(&v, 1, peer, 0, w) != ftmpi::kSuccess) return;
+      ++v;
+      if (w.rank() == 1 && ftmpi::send(&v, 1, peer, 0, w) != ftmpi::kSuccess) return;
+    }
+  });
+  for (auto _ : state) rt.run("pingpong", 2);
+  state.SetItemsProcessed(state.iterations() * trips);
+}
+BENCHMARK(BM_PingPong)->Arg(1000)->UseRealTime();
 
 }  // namespace
 

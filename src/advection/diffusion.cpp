@@ -11,9 +11,9 @@ using ftr::grid::LocalField;
 
 void ftcs_step(LocalField& f, double rx, double ry) {
   const auto& b = f.block();
-  // Per-thread persistent scratch: each simulated rank steps on its own
-  // thread, so the buffer is reused allocation-free across steps.
-  FTR_PER_RANK("per-rank FTCS scratch; move into a ProcessState-owned scratch arena when ranks become fibers")
+  // Per-worker persistent scratch, reused allocation-free across steps: a
+  // step never suspends its rank, so no other rank touches it midway.
+  FTR_PER_RANK("per-worker FTCS scratch; safe because a step never suspends its rank")
   thread_local std::vector<double> next;
   next.resize(static_cast<size_t>(b.cells()));
   size_t k = 0;

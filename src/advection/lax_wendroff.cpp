@@ -13,12 +13,12 @@ using ftr::grid::LocalField;
 
 namespace {
 
-/// Persistent per-thread sweep scratch.  Every simulated MPI rank is a
-/// dedicated thread, so thread_local gives each rank private buffers without
-/// locking; capacity persists across steps, so the hot path stops allocating
-/// after the first step on a given grid size.
+/// Persistent per-worker sweep scratch.  A sweep never suspends its rank,
+/// so the ranks that share a worker thread never share these rows midway;
+/// capacity persists across steps, so the hot path stops allocating after
+/// the first step on a given grid size.
 std::vector<double>& sweep_scratch(int which, std::size_t n) {
-  FTR_PER_RANK("per-rank sweep scratch rows; fold into a ProcessState scratch arena when ranks become fibers")
+  FTR_PER_RANK("per-worker sweep scratch rows; safe because a sweep never suspends its rank")
   thread_local std::vector<double> rows[3];
   auto& r = rows[which];
   // ftlint:allow(FTL003 warm-up growth of persistent thread_local scratch)

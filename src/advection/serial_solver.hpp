@@ -38,11 +38,7 @@ class SerialSolver {
   [[nodiscard]] const Problem& problem() const { return problem_; }
 
   /// Average l1 error against the exact solution at the current time.
-  [[nodiscard]] double l1_error() const {
-    const double t = time();
-    return ftr::grid::l1_error(grid_,
-                               [&](double x, double y) { return problem_.exact(x, y, t); });
-  }
+  [[nodiscard]] double l1_error() const { return exact_l1_error(grid_, problem_, time()); }
 
  private:
   Problem problem_;

@@ -14,25 +14,25 @@
 //                  Expands to the compiler's hot-placement attribute where
 //                  available.
 //
-//   FTR_YIELD      designated yield point for the planned fiber scheduler
-//                  (ROADMAP: cooperatively-scheduled ranks).  The only
-//                  places a rank may suspend are the marked wait loops and
+//   FTR_YIELD      designated yield point of the fiber scheduler (ranks are
+//                  fibers on one worker thread per core).  The only places
+//                  a rank may suspend are the marked wait loops (which
+//                  park through Runtime::park), ftmpi::yield() and
 //                  detail::charge; a blocking primitive (cv.wait/sleep_for)
-//                  anywhere else would stall the whole fiber worker —
-//                  ftlint rule FTL008.  Expands to nothing; it is a marker
-//                  for the checker and for `ftlint --report=fiber`.
+//                  anywhere else stalls the whole worker — ftlint rule
+//                  FTL008.  Expands to nothing; it is a marker for the
+//                  checker and for `ftlint --report=fiber`.
 //
-//   FTR_PER_RANK   per-rank storage registry (ftlint rule FTL009).  Every
-//                  `thread_local` reachable from rank context is per-rank
-//                  state only because today each rank owns an OS thread;
-//                  under fibers many ranks share a thread and the storage
-//                  must migrate (usually onto ProcessState).  The macro
-//                  registers the declaration with a mandatory migration
-//                  note, e.g.:
-//                    FTR_PER_RANK("move into ProcessState scratch arena")
+//   FTR_PER_RANK   thread_local registry (ftlint rule FTL009).  Ranks share
+//                  worker threads and a parked rank may resume on another
+//                  worker, so a `thread_local` is per worker: right for
+//                  scratch that no suspension splits, wrong for anything a
+//                  rank keeps across a wait (that belongs on ProcessState).
+//                  The macro registers the declaration with a mandatory
+//                  note saying which, e.g.:
+//                    FTR_PER_RANK("per-worker scratch; no kernel suspends")
 //                    thread_local std::vector<double> buf;
-//                  `ftlint --report=fiber` emits the registry as the fiber
-//                  refactor's worklist.
+//                  `ftlint --report=fiber` emits the registry.
 
 #if defined(__has_cpp_attribute)
 #if __has_cpp_attribute(nodiscard)

@@ -1,9 +1,9 @@
 #pragma once
 // Minimal thread-safe leveled logger.
 //
-// The simulated MPI runtime runs hundreds of rank threads; interleaved
-// unsynchronized writes to stderr are unreadable, so all diagnostics funnel
-// through here.  Logging is off by default (level Warn) — benches and tests
+// The simulated MPI runtime runs hundreds of ranks on several worker
+// threads; interleaved unsynchronized writes to stderr are unreadable, so
+// all diagnostics funnel through here.  Logging is off by default (level Warn) — benches and tests
 // raise it via FTR_LOG=debug or Logger::set_level().
 
 #include <cstdio>

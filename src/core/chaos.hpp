@@ -11,8 +11,8 @@
 // "detector.heartbeat" / "detector.gossip".  Each
 // scheduled event names a victim pid, a phase, and an occurrence number; the
 // victim is killed at the entry of the occurrence-th time *it* reaches that
-// phase.  Occurrences are counted per (pid, phase) on the victim's own
-// thread, so a schedule is deterministic regardless of how the rank threads
+// phase.  Occurrences are counted per (pid, phase) by the victim itself,
+// so a schedule is deterministic regardless of how the ranks
 // interleave — the same seed always kills the same process at the same
 // protocol step.
 //

@@ -1491,10 +1491,7 @@ void FtApp::recovery_and_combine(RankState& st) {
     rt.put(keys::kCombineTime, ftmpi::wtime() - t_comb);
     if (!combined.data().empty()) {
       const double t_final = static_cast<double>(cfg_.timesteps) * st.dt;
-      const double err = ftr::grid::l1_error(combined, [&](double x, double y) {
-        return cfg_.problem.exact(x, y, t_final);
-      });
-      rt.put(keys::kErrorL1, err);
+      rt.put(keys::kErrorL1, ftr::advection::exact_l1_error(combined, cfg_.problem, t_final));
     }
     rt.put(keys::kTotalTime, ftmpi::wtime());
     rt.put(keys::kSolveTime, st.solve_time);

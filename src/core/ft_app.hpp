@@ -310,7 +310,7 @@ class FtApp {
   std::shared_ptr<ftr::rec::CheckpointStore> store_;
   std::shared_ptr<ftr::rec::BuddyStore> buddy_;
 
-  // Kill bookkeeping shared by all rank threads: each planned kill fires
+  // Kill bookkeeping shared by all ranks: each planned kill fires
   // exactly once (a respawned process re-runs the same timesteps and must
   // not die again).
   std::mutex kill_mu_;

@@ -20,7 +20,7 @@
 //   OMPI_Comm_failure_get_acked  comm_failure_get_acked()
 //   MPI_Wtime                wtime()  (virtual time; see cost_model.hpp)
 //
-// All functions must be called from a rank thread (inside Runtime::run).
+// All functions must be called from a rank (inside Runtime::run).
 // Error handling follows ULFM practice: calls return an error code; if an
 // error handler has been attached to the communicator it is invoked first.
 
@@ -72,13 +72,20 @@ void charge_disk_read(std::size_t bytes);
 /// Pid of the calling process (for Runtime::kill from harness code).
 ProcId self_pid();
 
-/// The Runtime the calling rank thread belongs to.
+/// Let the other runnable ranks go first: the caller goes to the back of
+/// the ready queue.  A rank that polls shared state in a loop must call
+/// it, because ranks share one worker thread per core and a spinning rank
+/// keeps its worker from every rank queued behind it.  Charges no virtual
+/// time.
+FTR_YIELD void yield();
+
+/// The Runtime the calling rank belongs to.
 Runtime& runtime();
 
 /// Named protocol phase boundary for chaos injection.  Invokes the
 /// Runtime's chaos hook (if any) with the phase name and the calling pid,
 /// then re-checks liveness so a hook that kills the caller unwinds it right
-/// at the boundary.  No-op off rank threads and when no hook is installed.
+/// at the boundary.  No-op off the ranks and when no hook is installed.
 /// Phases fired by the runtime: "shrink", "agree", "agree.tree", "spawn",
 /// "spawn.done", "merge", "split"; the failure detector fires
 /// "detector.heartbeat" before each ring heartbeat and "detector.gossip"

@@ -20,18 +20,19 @@
 
 namespace ftmpi::detail {
 
-/// The calling thread's process state; aborts if called off a rank thread.
+/// The calling rank's process state; aborts if called off the ranks.
 ProcessState& self();
 
-/// The calling thread's runtime.
+/// The calling rank's runtime.
 Runtime& rt();
 
 /// Throw ProcessKilled if this process has been killed (fail-stop unwind).
 void check_alive();
 
 /// Charge `seconds` of virtual time to the calling process.  A designated
-/// yield point: when ranks become fibers, preemption happens here (and in
-/// the FTR_YIELD wait loops) — nowhere else (ftlint FTL008).
+/// yield point (ftlint FTL008), like the FTR_YIELD wait loops that park: a
+/// rank that charges twice in one slice yields here when another rank is
+/// runnable (Runtime::preempt_point).
 FTR_YIELD void charge(double seconds);
 
 /// Current virtual time of the calling process.

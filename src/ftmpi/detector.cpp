@@ -1,5 +1,5 @@
 // Heartbeat-ring failure detector with gossip propagation (see detector.hpp
-// for the state machine).  Everything here runs on the owning rank thread,
+// for the state machine).  Everything here runs on the owning rank,
 // piggybacked on runtime entry points; the only cross-thread communication
 // is the mailbox itself plus the det_pending counter bumped by deliver().
 

@@ -26,7 +26,7 @@
 // All timing runs on the runtime's virtual clocks, so detection behaviour
 // is deterministic.  Progress is piggybacked on the runtime entry points
 // (detail::charge and the blocking wait loop): there is no background
-// thread, matching the thread-per-rank simulator design.
+// thread or fiber.
 
 #include <cstdint>
 #include <map>
@@ -93,7 +93,7 @@ struct GossipWire {
 };
 
 /// Per-process detector state, embedded in ProcessState.  Only the owning
-/// rank thread reads or writes it (the cross-thread signal is the separate
+/// rank reads or writes it (the cross-thread signal is the separate
 /// ProcessState::det_pending atomic).
 struct State {
   bool ring_joined = false;

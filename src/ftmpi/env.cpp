@@ -36,7 +36,7 @@ void advance(double seconds) { detail::charge(seconds); }
 void charge_flops(double flops) { detail::charge(flops / detail::rt().cost().flops_rate); }
 
 void charge_disk_write(std::size_t bytes) {
-  // No-op off rank threads so shared stores (checkpoints) stay usable from
+  // No-op off the ranks so shared stores (checkpoints) stay usable from
   // plain test code; there is no virtual clock to charge there anyway.
   if (Runtime::current() == nullptr) return;
   const CostModel& cm = detail::rt().cost();
@@ -56,6 +56,11 @@ void abort_self() {
 }
 
 ProcId self_pid() { return detail::self().pid; }
+
+FTR_YIELD void yield() {
+  detail::check_alive();
+  Runtime::yield_rank();
+}
 
 Runtime& runtime() { return detail::rt(); }
 

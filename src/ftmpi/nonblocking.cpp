@@ -179,7 +179,7 @@ FTR_YIELD int probe(int src, int tag, const Comm& c, Status* status) {
     }
     if (flag) return kSuccess;
     FTR_DLSAN_BLOCK_PROBE(c, src, tag);
-    ps.cv.wait(lock);
+    Runtime::park(lock);
     FTR_DLSAN_UNBLOCK();
   }
 }

@@ -17,7 +17,7 @@ namespace detail {
 
 ProcessState& self() {
   ProcessState* ps = Runtime::current();
-  assert(ps != nullptr && "ftmpi API called from a non-rank thread");
+  assert(ps != nullptr && "ftmpi API called off the ranks");
   return *ps;
 }
 
@@ -36,6 +36,7 @@ FTR_YIELD void charge(double seconds) {
   // process accounts for virtual time (no-op unless a heartbeat period
   // boundary was crossed or detector messages are queued).
   detector::maybe_tick(ps);
+  Runtime::preempt_point();
 }
 
 double now() { return self().vclock; }
@@ -186,7 +187,7 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
     FTR_DLSAN_BLOCK(spec.op, spec.dbg_ctx, spec.dbg_tag, spec.watch,
                     spec.revoke_ctx, det, spec.interrupt, spec.interrupt_expect,
                     spec.interrupt2, spec.interrupt2_expect);
-    ps.cv.wait(lock);
+    Runtime::park(lock);
     FTR_DLSAN_UNBLOCK();
   }
 }
@@ -248,8 +249,8 @@ int ctrl_send(ProcId dst, std::uint64_t ctx, int tag, const void* data, std::siz
   msg.ctx = ctx;
   msg.tag = tag;
   msg.ctrl = true;
-  msg.payload.resize(n);
-  if (n > 0) std::memcpy(msg.payload.data(), data, n);
+  const auto* bytes = static_cast<const std::byte*>(data);
+  if (n > 0) msg.payload.assign(bytes, bytes + n);
   post(dst, std::move(msg), n);
   return kSuccess;
 }
@@ -334,8 +335,8 @@ int send_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c
   msg.src_rank = c.rank();
   msg.src_side = c.side();
   msg.ctrl = false;
-  msg.payload.resize(n);
-  if (n > 0) std::memcpy(msg.payload.data(), data, n);
+  const auto* bytes = static_cast<const std::byte*>(data);
+  if (n > 0) msg.payload.assign(bytes, bytes + n);
   detail::post(dpid, std::move(msg), n);
   return kSuccess;
 }

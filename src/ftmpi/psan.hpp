@@ -62,7 +62,7 @@ struct AgreeReport {
 
 /// Lifecycle check for a non-sanctioned operation on `c`.  Aborts with a
 /// diagnostic if this rank itself revoked the context earlier.  No-op off
-/// rank threads and for null comms.
+/// the ranks and for null comms.
 void on_use(const Comm& c, const char* op, const char* file, int line);
 
 /// on_use plus an append of (op, root) to this rank's collective stream on

@@ -1,9 +1,16 @@
 #include "ftmpi/runtime.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cxxabi.h>
 #include <exception>
 #include <stdexcept>
+#include <system_error>
 
 #include "common/annotations.hpp"
 #include "common/logging.hpp"
@@ -11,12 +18,106 @@
 #include "ftmpi/psan.hpp"
 #include "ftmpi/vtsan.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define FTR_FIBER_ASAN 1
+#elif defined(__SANITIZE_THREAD__)
+#define FTR_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FTR_FIBER_ASAN 1
+#elif __has_feature(thread_sanitizer)
+#define FTR_FIBER_TSAN 1
+#endif
+#endif
+#ifdef FTR_FIBER_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef FTR_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace ftmpi {
 
+/// One worker thread's side of the scheduler: the context a fiber switches
+/// back to, and what the fiber asked for when it did.
+struct Worker {
+  enum class Handoff { kPark, kYield, kExit };
+  ucontext_t ctx{};
+  Handoff handoff = Handoff::kYield;
+  std::mutex* release = nullptr;  ///< kPark: the rank's mu, unlocked after the switch
+  void* asan_fake_stack = nullptr;
+  const void* stack_bottom = nullptr;  ///< the worker thread's own stack (ASan)
+  std::size_t stack_size = 0;
+  void* tsan_fiber = nullptr;
+};
+
 namespace {
-FTR_PER_RANK("becomes the fiber scheduler's current-task pointer, swapped on every context switch")
+
+FTR_PER_RANK("the worker's current fiber: the scheduler sets it on every switch, and ranks read it only through Runtime::current()")
 thread_local ProcessState* tls_proc = nullptr;
+
+/// Usable stack per fiber, below one guard page: five times the deepest
+/// stack the test suite reaches in the Debug ASan build (24 KiB; 16 KiB
+/// optimised).  Pages are committed only when touched, so the margin costs
+/// address space, not memory.
+constexpr std::size_t kStackBytes = std::size_t{128} << 10;
+
+/// How long an idle worker polls the ready queue before it sleeps: about
+/// 20-50 us of pause instructions.
+constexpr int kSpinPolls = 1000;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// The C++ runtime's per-thread exception state (libstdc++ and libc++abi
+/// share this layout).  A fiber that parks while unwinding or inside a
+/// catch block takes it along to whichever worker resumes it.
+struct EhGlobals {
+  void* caught;
+  unsigned uncaught;
+};
+
+EhGlobals& eh_globals() {
+  return *reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals());
+}
+
+/// Switch the calling fiber back to its worker, which then carries out
+/// `handoff`.  Returns when a worker resumes the fiber, which need not be
+/// the same one; never returns for kExit.
+void switch_to_worker(Fiber& f, Worker::Handoff handoff, std::mutex* release) {
+  Worker& w = *f.worker;
+  w.handoff = handoff;
+  w.release = release;
+#ifdef FTR_FIBER_TSAN
+  if (release != nullptr) {
+    // The worker unlocks `release` for this fiber; hand TSan the ownership.
+    __tsan_mutex_pre_unlock(release, 0);
+    __tsan_mutex_post_unlock(release, 0);
+  }
+  __tsan_switch_to_fiber(w.tsan_fiber, 0);
+#endif
+#ifdef FTR_FIBER_ASAN
+  __sanitizer_start_switch_fiber(handoff == Worker::Handoff::kExit ? nullptr : &f.asan_fake_stack,
+                                 w.stack_bottom, w.stack_size);
+#endif
+  swapcontext(&f.ctx, &w.ctx);
+#ifdef FTR_FIBER_ASAN
+  Worker& now = *f.worker;
+  __sanitizer_finish_switch_fiber(f.asan_fake_stack, &now.stack_bottom, &now.stack_size);
+#endif
+}
+
 }  // namespace
+
+Fiber::~Fiber() {
+  if (map != nullptr) munmap(map, map_bytes);
+#ifdef FTR_FIBER_TSAN
+  if (tsan_fiber != nullptr) __tsan_destroy_fiber(tsan_fiber);
+#endif
+}
 
 ProcessState* Runtime::current() { return tls_proc; }
 
@@ -28,14 +129,25 @@ Runtime::Runtime(Options opt) : opt_(std::move(opt)) {
   if (opt_.detector.confirm_after <= opt_.detector.suspect_after) {
     opt_.detector.confirm_after = 2.0 * opt_.detector.suspect_after;
   }
+  const unsigned n = std::max(1U, std::thread::hardware_concurrency());
+  workers_.reserve(n);
+  for (unsigned i = 0; i < n; ++i) workers_.emplace_back([this] { worker_main(); });
 }
 
 Runtime::~Runtime() {
-  // All threads were joined by run(); joining again here covers the case
-  // where a Runtime is destroyed after an aborted construction path.
-  procs_.for_each([](ProcessState& ps) {
-    if (ps.thread.joinable()) ps.thread.join();
-  });
+  {
+    // A process started outside run() still finishes before its runtime
+    // goes.
+    std::unique_lock<std::mutex> lock(mu_);
+    // ftlint:allow(FTL008 the destructor runs on the owner's thread, never on a rank fiber)
+    done_cv_.wait(lock, [this] { return active_ == 0; });
+  }
+  {
+    std::lock_guard<std::mutex> lock(ready_mu_);
+    stopping_ = true;
+  }
+  ready_cv_.notify_all();
+  for (std::thread& t : workers_) t.join();
   // Pids and context ids restart per Runtime (and stack Runtimes can reuse
   // an address), so the sanitizers must forget this instance.
   FTR_PSAN_RUNTIME_DESTROYED(this);
@@ -167,7 +279,7 @@ ProcId Runtime::create_process(const std::string& app, std::vector<std::string> 
   ps->host = host;
   ps->slot = slot;
   ProcessState& created = procs_.append(std::move(ps));
-  // Registered before any thread exists: run() creates the whole world
+  // Registered before any fiber runs: run() creates the whole world
   // before starting rank 0, so the deadlock sanitizer never mistakes a
   // not-yet-started peer for an absent one.
   FTR_DLSAN_PROC_CREATED(this, &created);
@@ -179,7 +291,7 @@ void Runtime::release_unstarted(ProcId pid) {
   if (found == nullptr) return;
   ProcessState& ps = *found;
   std::lock_guard<std::mutex> lock(mu_);
-  if (ps.thread.joinable() || ps.finished.load()) return;  // already started
+  if (ps.started.load() || ps.finished.load()) return;
   ps.dead.store(true);
   ps.finished.store(true);
   hosts_[static_cast<size_t>(ps.host)][static_cast<size_t>(ps.slot)] = false;
@@ -188,6 +300,28 @@ void Runtime::release_unstarted(ProcId pid) {
 
 void Runtime::start_process(ProcId pid) {
   ProcessState* ps = &proc(pid);
+  auto f = std::make_unique<Fiber>();
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  f->map_bytes = kStackBytes + page;
+  f->map = mmap(nullptr, f->map_bytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (f->map == MAP_FAILED) {
+    f->map = nullptr;
+    throw std::system_error(errno, std::generic_category(), "ftmpi: fiber stack");
+  }
+  // The stack grows down onto the guard page, so an overflow faults.
+  if (mprotect(f->map, page, PROT_NONE) != 0) {
+    throw std::system_error(errno, std::generic_category(), "ftmpi: fiber guard page");
+  }
+  getcontext(&f->ctx);
+  f->ctx.uc_stack.ss_sp = static_cast<char*>(f->map) + page;
+  f->ctx.uc_stack.ss_size = kStackBytes;
+  f->ctx.uc_link = nullptr;
+  makecontext(&f->ctx, &Runtime::fiber_entry, 0);
+#ifdef FTR_FIBER_TSAN
+  f->tsan_fiber = __tsan_create_fiber(0);
+#endif
+  ps->fiber = std::move(f);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++active_;
@@ -196,11 +330,20 @@ void Runtime::start_process(ProcId pid) {
   // The creator's clock (or the driver clock) is what the new rank starts
   // from: spawn is a happens-before edge.
   FTR_VTSAN_SPAWN(this, pid);
-  ps->thread = std::thread([this, ps] { thread_main(ps); });
+  make_ready(ps);
 }
 
-void Runtime::thread_main(ProcessState* ps) {
-  tls_proc = ps;
+void Runtime::fiber_entry() {
+  ProcessState* ps = current();
+#ifdef FTR_FIBER_ASAN
+  Worker& w = *ps->fiber->worker;
+  __sanitizer_finish_switch_fiber(nullptr, &w.stack_bottom, &w.stack_size);
+#endif
+  ps->rt->fiber_main(ps);
+  switch_to_worker(*ps->fiber, Worker::Handoff::kExit, nullptr);
+}
+
+void Runtime::fiber_main(ProcessState* ps) {
   FTR_VTSAN_THREAD_START();
   FTR_DLSAN_THREAD_START();
   EntryFn entry;
@@ -223,17 +366,138 @@ void Runtime::thread_main(ProcessState* ps) {
   }
   ps->finished.store(true);
   membership_epoch_.fetch_add(1);
+  // Peers blocked on this process must re-evaluate their wait predicates.
+  FTR_DLSAN_THREAD_EXIT();
+  notify_exit(ps->pid);
   bool last = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     last = --active_ == 0;
   }
-  // Only the last exit can end run()'s wait.
+  // Only the last exit can end run()'s wait, and it comes after every
+  // exit's wake-ups.
   if (last) done_cv_.notify_all();
-  // Peers blocked on this process must re-evaluate their wait predicates.
-  FTR_DLSAN_THREAD_EXIT();
-  notify_exit(ps->pid);
+}
+
+void Runtime::worker_main() {
+  Worker w;
+#ifdef FTR_FIBER_TSAN
+  w.tsan_fiber = __tsan_get_current_fiber();
+#endif
+  std::unique_lock<std::mutex> lock(ready_mu_);
+  while (!stopping_ || !ready_.empty()) {
+    if (ready_.empty()) {
+      // Spin briefly before sleeping: a rank woken a moment from now (the
+      // reply in a message exchange) is then picked up without an OS
+      // wake-up on either side.
+      ++spinning_workers_;
+      lock.unlock();
+      for (int i = 0; i < kSpinPolls && ready_size_.load(std::memory_order_relaxed) == 0; ++i) {
+        cpu_relax();
+      }
+      lock.lock();
+      --spinning_workers_;
+      if (!ready_.empty() || stopping_) continue;
+      ++idle_workers_;
+      // ftlint:allow(FTL008 a worker idles on the OS thread it owns; no fiber is on it here)
+      ready_cv_.wait(lock);
+      --idle_workers_;
+      continue;
+    }
+    ProcessState* ps = ready_.front();
+    ready_.pop_front();
+    ready_size_.store(ready_.size(), std::memory_order_relaxed);
+    // More work than this worker: pass it on to a sleeping one.
+    const bool wake = !ready_.empty() && idle_workers_ > 0 && spinning_workers_ == 0;
+    lock.unlock();
+    if (wake) ready_cv_.notify_one();
+    run_slice(w, *ps);
+    lock.lock();
+  }
+}
+
+void Runtime::run_slice(Worker& w, ProcessState& ps) {
+  Fiber& f = *ps.fiber;
+  f.worker = &w;
+  f.slice_charges = 0;
+  tls_proc = &ps;
+  EhGlobals& eh = eh_globals();
+  eh = {f.eh_caught, f.eh_uncaught};
+#ifdef FTR_FIBER_ASAN
+  __sanitizer_start_switch_fiber(&w.asan_fake_stack, f.ctx.uc_stack.ss_sp,
+                                 f.ctx.uc_stack.ss_size);
+#endif
+#ifdef FTR_FIBER_TSAN
+  __tsan_switch_to_fiber(f.tsan_fiber, 0);
+#endif
+  swapcontext(&w.ctx, &f.ctx);
+#ifdef FTR_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(w.asan_fake_stack, nullptr, nullptr);
+#endif
+  f.eh_caught = eh.caught;
+  f.eh_uncaught = eh.uncaught;
+  eh = {nullptr, 0};
   tls_proc = nullptr;
+  switch (w.handoff) {
+    case Worker::Handoff::kPark:
+#ifdef FTR_FIBER_TSAN
+      __tsan_mutex_pre_lock(w.release, 0);
+      __tsan_mutex_post_lock(w.release, 0, 0);
+#endif
+      w.release->unlock();
+      break;
+    case Worker::Handoff::kYield:
+      make_ready(&ps);
+      break;
+    case Worker::Handoff::kExit:
+      ps.fiber.reset();
+      break;
+  }
+}
+
+void Runtime::make_ready(ProcessState* ps) {
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(ready_mu_);
+    ready_.push_back(ps);
+    ready_size_.store(ready_.size(), std::memory_order_relaxed);
+    // A spinning worker takes it without an OS wake-up.
+    wake = idle_workers_ > 0 && spinning_workers_ == 0;
+  }
+  if (wake) ready_cv_.notify_one();
+}
+
+void Runtime::wake_locked(ProcessState& ps) {
+  if (!ps.asleep) return;
+  ps.asleep = false;
+  make_ready(&ps);
+}
+
+FTR_YIELD void Runtime::park(std::unique_lock<std::mutex>& lock) {
+  ProcessState& ps = *current();
+  ps.asleep = true;
+  std::mutex* mu = lock.release();
+  switch_to_worker(*ps.fiber, Worker::Handoff::kPark, mu);
+  lock = std::unique_lock<std::mutex>(*mu);
+}
+
+FTR_YIELD void Runtime::yield_rank() {
+  switch_to_worker(*current()->fiber, Worker::Handoff::kYield, nullptr);
+}
+
+FTR_YIELD void Runtime::preempt_point() {
+  // A rank whose halo messages are always there when it looks never parks.
+  // Without this cap, ranks that happen to run side by side on the workers
+  // race many steps ahead of the ranks that park for every exchange (OS
+  // threads get preempted instead), which starves, for instance, the
+  // overlapped repair's continuation side of the steps it should take
+  // while the repair runs.
+  ProcessState& ps = *current();
+  if (++ps.fiber->slice_charges < 2 ||
+      ps.rt->ready_size_.load(std::memory_order_relaxed) == 0) {
+    return;
+  }
+  switch_to_worker(*ps.fiber, Worker::Handoff::kYield, nullptr);
 }
 
 int Runtime::run(const std::string& app, int world_size, std::vector<std::string> argv) {
@@ -259,7 +523,7 @@ int Runtime::run(const std::string& app, int world_size, std::vector<std::string
   for (ProcId pid : pids) start_process(pid);
 
   // Wait for completion with a real-time watchdog: a protocol bug that
-  // deadlocks rank threads cannot be unwound, so fail loudly.
+  // deadlocks ranks cannot be unwound, so fail loudly.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -277,11 +541,6 @@ int Runtime::run(const std::string& app, int world_size, std::vector<std::string
       }
     }
   }
-  // No process is active, so no spawn can append while we walk the table;
-  // the exit wrappers may still be notifying, which join() waits out.
-  procs_.for_each([](ProcessState& ps) {
-    if (ps.thread.joinable()) ps.thread.join();
-  });
   // Fold every rank clock into the driver clock so the next run() on this
   // runtime is ordered after this one (blackboard keys are often reused).
   FTR_VTSAN_RUN_COMPLETE(this);
@@ -312,7 +571,7 @@ void Runtime::announce_kill(const ProcessState& ps) {
   failure_epoch_.fetch_add(1);
   membership_epoch_.fetch_add(1);
   // Stamped with the killer's clock: the victim's vclock belongs to its own
-  // thread, which may still be charging time.
+  // fiber, which may still be charging time.
   const ProcessState* actor = current();
   trace_.record(actor != nullptr ? actor->vclock : 0.0, ps.pid, TraceEvent::Kill,
                 ps.world_rank);
@@ -385,16 +644,14 @@ void Runtime::deliver(ProcId dst, Message msg) {
   FTR_VTSAN_STAMP(msg);
   ProcessState* ps = procs_.find(dst);
   if (ps == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(ps->mu);
-    if (ps->dead.load()) return;  // the network cannot deliver to a crashed process
-    if (msg.ctrl && (msg.tag == tags::kHeartbeat || msg.tag == tags::kGossip)) {
-      ps->det_pending.fetch_add(1, std::memory_order_relaxed);
-    }
-    ps->mailbox.push_back(std::move(msg));
+  std::lock_guard<std::mutex> lock(ps->mu);
+  if (ps->dead.load()) return;  // the network cannot deliver to a crashed process
+  if (msg.ctrl && (msg.tag == tags::kHeartbeat || msg.tag == tags::kGossip)) {
+    ps->det_pending.fetch_add(1, std::memory_order_relaxed);
   }
+  ps->mailbox.push_back(std::move(msg));
   FTR_DLSAN_WAKE(this, dst);
-  ps->cv.notify_all();
+  wake_locked(*ps);
 }
 
 template <class Filter>
@@ -405,12 +662,12 @@ void Runtime::wake_parked(Filter&& wakes) {
     // a waiter read here as not parked will see the change when it checks.
     const int parked = ps.parked.load();
     if (parked == 0 || !wakes(ps, parked)) return;
+    // Taking the waiter's lock orders this wake-up after its predicate
+    // check: the waiter either has not checked yet, and will see the new
+    // state, or is asleep and is queued here.
+    std::lock_guard<std::mutex> lock(ps.mu);
     FTR_DLSAN_WAKE(this, ps.pid);
-    // Passing through the waiter's lock orders this notify after its
-    // predicate check: the waiter either has not checked yet, and will see
-    // the new state, or is already parked in cv.wait and is woken.
-    { std::lock_guard<std::mutex> lock(ps.mu); }
-    ps.cv.notify_all();
+    wake_locked(ps);
   });
 }
 

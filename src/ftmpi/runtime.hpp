@@ -1,15 +1,19 @@
 #pragma once
 // The simulated MPI runtime: a "cluster in a process".
 //
-// Each simulated MPI process is a std::thread with its own mailbox and
-// virtual clock.  The Runtime owns the process table, the hosts-and-slots
+// Each simulated MPI process is a fiber with its own stack, mailbox and
+// virtual clock.  The fibers run on one worker thread per core, which the
+// Runtime owns for its whole lifetime: a rank that waits parks its fiber
+// and frees the worker for the next runnable rank, so a message to a
+// waiting rank costs a queue push, not an OS wake-up.  The Runtime also
+// owns the process table, the hosts-and-slots
 // placement model (the paper's hostfile with SLOTS=12 per node), the
 // communicator-context registry, the failure epoch used to wake blocked
 // operations when a process is killed, and a results blackboard through
 // which applications report measurements to the bench harnesses.
 //
 // Failure semantics are fail-stop, as in the paper: Runtime::kill() marks a
-// process dead and frees its host slot; the victim's thread unwinds (via
+// process dead and frees its host slot; the victim's fiber unwinds (via
 // ProcessKilled) at its next runtime call, and every operation by a peer
 // that depends on the victim eventually returns kErrProcFailed.
 
@@ -27,6 +31,9 @@
 #include <thread>
 #include <vector>
 
+#include <ucontext.h>
+
+#include "common/annotations.hpp"
 #include "ftmpi/comm.hpp"
 #include "ftmpi/cost_model.hpp"
 #include "ftmpi/detector.hpp"
@@ -55,8 +62,32 @@ struct Message {
 };
 
 class Runtime;
+struct Worker;
 
-/// Per-process runtime state.  The owning thread is the only writer of
+/// A process's execution context: its guard-paged stack (mapped lazily, so
+/// only the pages it touches are committed) and, while it is switched out,
+/// its saved registers.  The scheduler owns it; the stack is unmapped when
+/// the process exits.
+struct Fiber {
+  Fiber() = default;
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+  ~Fiber();
+
+  ucontext_t ctx{};
+  void* map = nullptr;  ///< the mapping: guard page, then the stack
+  std::size_t map_bytes = 0;
+  Worker* worker = nullptr;  ///< the worker it runs on (or last ran on)
+  int slice_charges = 0;     ///< charges of virtual time since it was resumed
+  /// The C++ runtime's per-thread exception state (caught-exception chain,
+  /// uncaught count), carried with the fiber from worker to worker.
+  void* eh_caught = nullptr;
+  unsigned eh_uncaught = 0;
+  void* asan_fake_stack = nullptr;
+  void* tsan_fiber = nullptr;
+};
+
+/// Per-process runtime state.  The owning fiber is the only writer of
 /// vclock; the mailbox and flags are guarded by mu.
 struct ProcessState {
   Runtime* rt = nullptr;
@@ -65,10 +96,12 @@ struct ProcessState {
   int slot = 0;
   std::string app;
   std::vector<std::string> argv;
-  std::thread thread;
+  std::unique_ptr<Fiber> fiber;
 
   std::mutex mu;
-  std::condition_variable cv;
+  /// True from the moment the fiber parks (Runtime::park) until a wake-up
+  /// claims it and puts it on the ready queue.  Guarded by mu.
+  bool asleep = false;
   std::deque<Message> mailbox;
   std::atomic<bool> dead{false};
   std::atomic<bool> finished{false};
@@ -80,9 +113,9 @@ struct ProcessState {
 
   /// Number of detector-channel messages (heartbeats/gossip) queued in the
   /// mailbox; bumped by deliver() under mu, reset by detector::drain().
-  /// Lets the owner thread skip mailbox locking when nothing is pending.
+  /// Lets the owner skip mailbox locking when nothing is pending.
   std::atomic<int> det_pending{0};
-  /// Failure-detector state; touched only by the owning rank thread.
+  /// Failure-detector state; touched only by the owning rank.
   detector::State det;
 
   /// While this rank runs a blocking wait loop (detail::ParkedScope):
@@ -124,7 +157,7 @@ class Runtime {
     detector::Options detector{};
   };
 
-  /// Entry point of a simulated MPI application; runs on each rank thread.
+  /// Entry point of a simulated MPI application; runs on each rank's fiber.
   using EntryFn = std::function<void(const std::vector<std::string>& argv)>;
 
   Runtime() : Runtime(Options{}) {}
@@ -210,8 +243,9 @@ class Runtime {
   /// cluster is bounded (Options::max_hosts) and no slot is available.
   ProcId create_process(const std::string& app, std::vector<std::string> argv,
                         int preferred_host, double start_clock);
-  /// Start the thread of a process created by create_process() after its
-  /// world/parent contexts have been filled in.
+  /// Start the fiber of a process created by create_process() after its
+  /// world/parent contexts have been filled in: map its stack and queue it
+  /// on the workers.  Works outside run() too; the next run() waits for it.
   void start_process(ProcId pid);
   /// Retire a created-but-never-started process (spawn rollback after a
   /// partial placement failure): frees its slot without counting it as a
@@ -223,7 +257,7 @@ class Runtime {
   /// (shrink/spawn/merge/agree/split entry, checkpoint writes).  The hook
   /// may kill the calling process — chaos_point() re-checks liveness after
   /// the hook returns, so a self-kill unwinds at the phase boundary.
-  /// Install before run(); not synchronized against running rank threads.
+  /// Install before run(); not synchronized against running ranks.
   using ChaosHook = std::function<void(const char* phase, ProcId pid)>;
   void set_chaos_hook(ChaosHook hook) { chaos_hook_ = std::move(hook); }
   void fire_chaos(const char* phase, ProcId pid) {
@@ -245,6 +279,20 @@ class Runtime {
   /// ProcessState::mu.
   void notify_all_procs();
 
+  // --- the fiber scheduler ---------------------------------------------------
+  /// Park the calling rank until a delivery or a notify wakes it.  `lock`
+  /// holds the caller's ProcessState::mu, under which it checked its wait
+  /// predicates; the worker releases it only after the fiber has switched
+  /// out, so a waker that takes mu and finds the rank asleep can queue it
+  /// at once.  mu is held again on return.
+  FTR_YIELD static void park(std::unique_lock<std::mutex>& lock);
+  /// Requeue the calling rank behind every runnable rank (ftmpi::yield()).
+  FTR_YIELD static void yield_rank();
+  /// Called by every charge of virtual time: a rank that has charged
+  /// before in this slice without parking yields here if another rank
+  /// waits for a worker, so it advances at most one compute step per turn.
+  FTR_YIELD static void preempt_point();
+
   // --- results blackboard ---------------------------------------------------
   // Applications (usually rank 0) publish measurements; bench harnesses read
   // them after run() returns.
@@ -254,9 +302,11 @@ class Runtime {
   [[nodiscard]] std::map<std::string, double> results() const;
   void clear_results();
 
-  // --- thread-local identity -----------------------------------------------
-  /// The calling thread's simulated process (nullptr on non-rank threads).
-  static ProcessState* current();
+  // --- identity -----------------------------------------------------------
+  /// The calling rank (nullptr off the rank fibers).  Not inlined: a fiber
+  /// can resume on another worker, so the worker-local slot behind it must
+  /// be read afresh on every call, never through a cached address.
+  [[gnu::noinline]] static ProcessState* current();
 
  private:
   /// Append-only pid -> process table whose slots never move: 1024-slot
@@ -295,7 +345,18 @@ class Runtime {
     std::atomic<std::size_t> size_{0};
   };
 
-  void thread_main(ProcessState* ps);
+  static void fiber_entry();
+  /// A rank's whole life on its fiber: the app entry, then the exit
+  /// bookkeeping and wake-ups.
+  void fiber_main(ProcessState* ps);
+  void worker_main();
+  /// Switch into `ps` on worker `w` and carry out what it asked for when it
+  /// switched back (release its lock, requeue it, or free its stack).
+  void run_slice(Worker& w, ProcessState& ps);
+  /// Put a runnable rank at the back of the ready queue.
+  void make_ready(ProcessState* ps);
+  /// Queue `ps` if it is asleep.  ps.mu held.
+  void wake_locked(ProcessState& ps);
   /// Wake the parked processes for which wakes(ps, parked) holds.
   template <class Filter>
   void wake_parked(Filter&& wakes);
@@ -316,6 +377,16 @@ class Runtime {
   // host_substitute_, apps_ and active_.  Pid lookups do not take it.
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
+  // The scheduler: one FIFO ready queue shared by the workers.  ready_mu_
+  // nests inside ProcessState::mu (a wake-up queues under the rank's lock).
+  std::mutex ready_mu_;
+  std::condition_variable ready_cv_;
+  std::deque<ProcessState*> ready_;
+  std::atomic<std::size_t> ready_size_{0};  ///< ready_.size(), for spinning workers
+  int idle_workers_ = 0;      ///< asleep on ready_cv_
+  int spinning_workers_ = 0;  ///< polling ready_size_ before they sleep
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;
   ProcessTable procs_;
   std::vector<std::vector<bool>> hosts_;  // hosts_[h][s] = slot occupied
   std::vector<bool> host_failed_;         // failed nodes: slots unusable

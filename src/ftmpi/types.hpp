@@ -91,8 +91,8 @@ struct Status {
 /// Reduction operators supported by reduce/allreduce.
 enum class ReduceOp { Sum, Max, Min, LogicalAnd, LogicalOr };
 
-/// Thrown inside a rank thread when that process has been killed; unwinds
-/// to the runtime's thread wrapper.  Application code must not catch it
+/// Thrown inside a rank when that process has been killed; unwinds to the
+/// runtime's fiber entry.  Application code must not catch it
 /// (fail-stop semantics: a dead process executes nothing further).
 struct ProcessKilled {
   ProcId pid;

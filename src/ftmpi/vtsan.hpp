@@ -2,10 +2,10 @@
 // Virtual-time happens-before sanitizer (FTR_SANITIZE=vtsan, compile
 // definition FTR_VTSAN).
 //
-// The runtime cross-check for ftlint's fiber-readiness rules
-// (FTL008-FTL010).  Those rules ask, statically, "which code still assumes
-// every simulated rank is a dedicated OS thread?"  This sanitizer asks the
-// same question dynamically: every rank carries a vector clock, ticked on
+// The runtime cross-check for ftlint's fiber rules (FTL008-FTL010).  Those
+// rules ask, statically, "which code still assumes every simulated rank is
+// a dedicated OS thread?"  This sanitizer asks the same question
+// dynamically: every rank carries a vector clock, ticked on
 // each instrumented event; a message is stamped with the sender's clock at
 // deliver() and joined into the receiver's clock at each mailbox
 // extraction (wait_for_message / recv_buffered / detector drain), and a
@@ -19,11 +19,11 @@
 //   ftmpi-vtsan: write-write race on ...   (unordered write vs. write)
 //   ftmpi-vtsan: read-write race on ...    (unordered read vs. write)
 //
-// Such a pair is exactly the state the planned fiber refactor cannot
-// preserve: today the structure's mutex serializes the two accesses by
-// OS-thread accident, but no message chain orders them, so a fiber
-// scheduler interleaving many ranks on one carrier thread could run them
-// in either order and observe either outcome.
+// Such a pair is exactly what the fiber scheduler does not order: the
+// structure's mutex serializes the two accesses in whatever order the
+// workers happen to run the two ranks, but no message chain orders them,
+// so another interleaving (or a scheduler ordered by virtual clock) could
+// run them in either order and observe either outcome.
 //
 // Runtime::add() on the blackboard is deliberately NOT checked: it is a
 // commutative accumulation and "every rank adds its share" is the
@@ -50,7 +50,7 @@ namespace vtsan {
 
 /// Record an access to the instrumented shared object (`kind`, `name`) by
 /// the calling rank; aborts with a pinned diagnostic when it conflicts with
-/// an earlier unordered access by another rank.  No-op off rank threads.
+/// an earlier unordered access by another rank.  No-op off the ranks.
 void on_access(bool is_write, const char* kind, const std::string& name, const char* file,
                int line);
 
@@ -66,12 +66,12 @@ void join_receive(const Message& msg);
 /// what orders successive run() calls.
 void on_spawn(const void* rt, ProcId child);
 
-/// Join the creator snapshot recorded by on_spawn (thread_main(), on the
-/// new rank thread, before the application entry runs).
+/// Join the creator snapshot recorded by on_spawn (fiber_main(), on the
+/// new rank's fiber, before the application entry runs).
 void on_thread_start();
 
-/// Fold every rank clock of `rt` into its driver clock (end of run(); the
-/// rank threads are already joined, so their clocks are final).
+/// Fold every rank clock of `rt` into its driver clock (end of run(); every
+/// rank has finished, so their clocks are final).
 void on_run_complete(const void* rt);
 
 /// Drop all state belonging to `rt` (~Runtime): pids and context ids

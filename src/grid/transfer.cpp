@@ -116,11 +116,11 @@ FTR_HOT void gather_row_accumulate(const double* __restrict s, const AxisMap& xm
   }
 }
 
-/// Per-thread blend scratch: every simulated MPI rank is a dedicated thread,
-/// so thread_local gives each rank its own buffer without locking and the
-/// capacity persists across calls (allocation-free after warm-up).
+/// Per-worker blend scratch: a transfer never suspends its rank, so the
+/// ranks that share a worker thread never share it midway, and the capacity
+/// persists across calls (allocation-free after warm-up).
 std::vector<double>& blend_scratch() {
-  FTR_PER_RANK("per-rank blend scratch; move into a ProcessState scratch arena when ranks become fibers")
+  FTR_PER_RANK("per-worker blend scratch; safe because a transfer never suspends its rank")
   thread_local std::vector<double> s;
   return s;
 }

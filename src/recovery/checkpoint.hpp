@@ -63,7 +63,7 @@ class CheckpointStore {
   CheckpointStore& operator=(const CheckpointStore&) = delete;
 
   /// Write a checkpoint of `data` taken at `step`.  Must be called from a
-  /// rank thread: charges one disk write to the caller's virtual clock and
+  /// rank: charges one disk write to the caller's virtual clock and
   /// fires the "ckpt.write" chaos point before touching any state, so an
   /// injected mid-write death leaves the previous snapshot intact.
   void write(int grid_id, int rank, long step, const std::vector<double>& data);

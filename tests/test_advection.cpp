@@ -35,6 +35,31 @@ TEST(Problem, ExactSolutionTranslates) {
   EXPECT_NEAR(p.exact(0.1, 0.1, 1.0), p.initial(0.1, 0.6), 1e-12);
 }
 
+TEST(Problem, ExactL1ErrorMatchesGridL1ErrorBitForBit) {
+  // The separable path (one exact_x per column, one exact_y per row) must
+  // give grid::l1_error's value for the exact solution bit for bit.
+  const Problem p{1.0, 0.5};
+  for (const int n : {5, 9, 10}) {
+    Grid2D g(Level{n, n});
+    // A field that is not the exact solution, so every term counts.
+    g.fill([](double x, double y) { return std::cos(3.0 * x + 0.5) * std::sin(5.0 * y) + x * y; });
+    for (const double t : {0.0, 0.1234, 0.5, 1.0, 3.7}) {
+      const double ref = ftr::grid::l1_error(
+          g, [&](double x, double y) { return p.exact(x, y, t); });
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(exact_l1_error(g, p, t)),
+                std::bit_cast<std::uint64_t>(ref))
+          << "level " << n << ", t = " << t;
+    }
+  }
+  // And the serial solver reports that value.
+  SerialSolver s(Level{5, 4}, p, stable_timestep(5, p));
+  s.run(7);
+  const double t = s.time();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.l1_error()),
+            std::bit_cast<std::uint64_t>(ftr::grid::l1_error(
+                s.grid(), [&](double x, double y) { return p.exact(x, y, t); })));
+}
+
 TEST(Problem, StableTimestepRespectsCfl) {
   const Problem p{2.0, 0.5};
   const double dt = stable_timestep(6, p, 0.9);

@@ -9,10 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "core/chaos.hpp"
@@ -40,30 +38,56 @@ Runtime::Options det_opts(int slots = 8) {
   return o;
 }
 
-/// Tick the virtual clock in small increments (each increment runs the
-/// detector's maybe_tick hook) until `stop` is set or `max_ticks` pass.
-/// Each tick yields a little real time: rank threads are real threads, and
-/// without pacing the scheduler can run one rank's entire loop before its
-/// peers get a single slice — no ring can form over such a schedule.
-/// Returns the number of ticks spent.
-int tick_until(const std::atomic<bool>& stop, int max_ticks, double dt = 0.05) {
-  int t = 0;
-  for (; t < max_ticks && !stop.load(); ++t) {
+/// Paces the ranks of one world so that their virtual clocks advance
+/// together, one small tick at a time (each tick runs the detector's
+/// maybe_tick hook).  Without pacing one rank can run its entire loop
+/// before its peers get a single slice, and no ring can form over such a
+/// schedule.  Yielding between ticks is not enough: ranks share worker
+/// threads, and a rank whose worker the OS deschedules stands still while
+/// the others run hundreds of ticks, so its ring successor rightly
+/// suspects it.  A rank therefore starts its next tick only when every
+/// other rank has caught up with it, or is dead, finished, or excused.
+class Lockstep {
+ public:
+  explicit Lockstep(int world) : ticks_(static_cast<std::size_t>(world)) {}
+
+  /// One tick of `dt` virtual seconds for the calling rank.
+  void tick(double dt = 0.05) {
+    const Comm& w = world();
+    const int mine = ticks_[static_cast<std::size_t>(w.rank())].load();
+    for (int r = 0; r < w.size(); ++r) {
+      const ProcessState& p = runtime().proc(w.group().pids[static_cast<std::size_t>(r)]);
+      while (ticks_[static_cast<std::size_t>(r)].load() < mine && !p.dead.load() &&
+             !p.finished.load()) {
+        ftmpi::yield();
+      }
+    }
     advance(dt);
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    ++ticks_[static_cast<std::size_t>(w.rank())];
   }
+
+  /// The calling rank stops ticking for a while; nobody waits for it.
+  void excuse() { ticks_[static_cast<std::size_t>(world().rank())] = kExcused; }
+
+ private:
+  static constexpr int kExcused = 1 << 30;
+  std::vector<std::atomic<int>> ticks_;
+};
+
+/// Tick until `stop` is set or `max_ticks` pass; returns the ticks spent.
+int tick_until(Lockstep& pace, const std::atomic<bool>& stop, int max_ticks) {
+  int t = 0;
+  for (; t < max_ticks && !stop.load(); ++t) pace.tick();
   return t;
 }
 
-/// Real-time startup rendezvous.  Runtime::run starts rank threads
-/// sequentially, and the scheduler may run an early thread's entire
-/// observation loop before a later thread exists; every ring test must
-/// therefore hold all ranks at the line until the full ring is up.
+/// Startup rendezvous.  Runtime::run starts ranks in order, and an early
+/// rank may run its entire observation loop before a later one starts;
+/// every ring test must therefore hold all ranks at the line until the
+/// full ring is up.
 void rendezvous(std::atomic<int>& arrived, int expected) {
   ++arrived;
-  while (arrived.load() < expected) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  while (arrived.load() < expected) ftmpi::yield();
 }
 
 }  // namespace
@@ -84,6 +108,7 @@ TEST(Detector, IdleRankLearnsRemoteDeathWithinBoundedTicks) {
 
   Runtime rt(det_opts());
   std::atomic<int> arrived{0};
+  Lockstep pace(kWorld);
   std::atomic<bool> learned{false};
   std::atomic<int> bad{0};
   std::atomic<double> learn_when{-1.0};
@@ -97,8 +122,7 @@ TEST(Detector, IdleRankLearnsRemoteDeathWithinBoundedTicks) {
       // The idle rank: no sends, no receives, no collectives — only local
       // work (virtual-time charges).  Detection must come to *it*.
       for (int t = 0; t < kMaxTicks && !learned.load(); ++t) {
-        advance(0.05);
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        pace.tick();
         if (detector_knows_failure_in(w)) {
           for (const auto& r : detector_records()) {
             if (r.dead == vpid) {
@@ -113,7 +137,7 @@ TEST(Detector, IdleRankLearnsRemoteDeathWithinBoundedTicks) {
     } else {
       // Other survivors only run their ring duties (the victim's ring
       // successor is the one whose timeout fires first).
-      tick_until(learned, kMaxTicks);
+      tick_until(pace, learned, kMaxTicks);
     }
   });
   rt.run("app", kWorld);
@@ -132,6 +156,7 @@ TEST(Detector, SlowButAliveRankIsNeverDeclaredDead) {
   constexpr int kSlow = 1;
   Runtime rt(det_opts(4));
   std::atomic<int> arrived{0};
+  Lockstep pace(kWorld);
   std::atomic<int> observers_done{0};
   std::atomic<long> false_alarms{0};
   std::atomic<int> wrongly_declared{0};
@@ -143,17 +168,13 @@ TEST(Detector, SlowButAliveRankIsNeverDeclaredDead) {
       // whole observation window — but alive the entire time.  It must not
       // leave until *both* observers finish judging, or it would drop out
       // of their rings as a clean exit before the window closes.
-      while (observers_done.load() < kWorld - 1) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      pace.excuse();
+      while (observers_done.load() < kWorld - 1) ftmpi::yield();
       return;
     }
     // 120 ticks x 0.05s = 6 virtual seconds of silence from the slow rank,
     // several times the confirm threshold (1.25s).
-    for (int t = 0; t < 120; ++t) {
-      advance(0.05);
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
-    }
+    for (int t = 0; t < 120; ++t) pace.tick();
     if (!detector_known_failed().empty()) ++wrongly_declared;
     // The slow rank's ring successor is the judge; it must have probed at
     // least once (suspect -> probe -> alive -> cleared).
@@ -183,6 +204,7 @@ TEST(Detector, FailureDuringGossipPropagationStillConverges) {
   chaos.schedule({.phase = "detector.gossip", .victim = kRelay, .occurrence = 1});
 
   std::atomic<int> arrived{0};
+  Lockstep pace(kWorld);
   std::atomic<int> converged{0};
   rt.register_app("app", [&](const std::vector<std::string>&) {
     Comm w = world();
@@ -191,8 +213,7 @@ TEST(Detector, FailureDuringGossipPropagationStillConverges) {
     const ProcId vpid = w.group().pids[kVictim];
     const ProcId rpid = w.group().pids[kRelay];
     for (int t = 0; t < 800; ++t) {
-      advance(0.05);
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      pace.tick();
       const auto known = detector_known_failed();
       const std::set<ProcId> k(known.begin(), known.end());
       if (k.count(vpid) > 0 && k.count(rpid) > 0) {
@@ -217,14 +238,14 @@ TEST(Detector, HeartbeatChaosKillIsDetectedByRing) {
   chaos.schedule({.phase = "detector.heartbeat", .victim = kVictim, .occurrence = 2});
 
   std::atomic<int> arrived{0};
+  Lockstep pace(kWorld);
   std::atomic<int> converged{0};
   rt.register_app("app", [&](const std::vector<std::string>&) {
     Comm w = world();
     const ProcId vpid = w.group().pids[kVictim];
     rendezvous(arrived, kWorld);
     for (int t = 0; t < 800; ++t) {
-      advance(0.05);
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      pace.tick();
       if (w.rank() != kVictim && detector_known_failed().size() == 1 &&
           detector_known_failed()[0] == vpid) {
         ++converged;

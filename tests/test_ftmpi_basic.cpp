@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "ftmpi/api.hpp"
@@ -20,6 +26,25 @@ Runtime::Options small_opts() {
   opt.slots_per_host = 4;
   opt.real_time_limit_sec = 60.0;
   return opt;
+}
+
+int cores() { return static_cast<int>(std::max(1U, std::thread::hardware_concurrency())); }
+
+/// Recurses `n` frames of 4 KiB each (not a tail call, nothing elided).
+int deep(int n) {
+  volatile char pad[4096];
+  pad[0] = static_cast<char>(n);
+  return n == 0 ? pad[0] : deep(n - 1) + pad[0];
+}
+
+/// The process's OS thread count (the Threads: line of /proc/self/status).
+int os_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 }  // namespace
@@ -329,4 +354,109 @@ TEST(FtmpiBasic, LargePayloadTransfersIntact) {
   });
   rt.run("main", 2);
   EXPECT_TRUE(ok.load());
+}
+
+// Ranks are fibers on one worker thread per core: a 4864-rank world (the
+// Table I scale) runs its collectives on the workers and the driver thread
+// alone.  Rank 0 counts threads once every rank has reached the barrier.
+// TSan's vector clocks grow with the number of fibers, which makes each
+// synchronisation O(N) there, so its build runs a quarter of the world.
+TEST(FtmpiBasic, WorldOf4864RanksRunsOnOneThreadPerCore) {
+#if defined(__SANITIZE_THREAD__)
+  constexpr int kWorld = 1216;
+#else
+  constexpr int kWorld = 4864;
+#endif
+  Runtime::Options opt;
+  opt.slots_per_host = 12;
+  opt.real_time_limit_sec = 120.0;
+  Runtime rt(opt);
+  std::atomic<int> threads{-1};
+  std::atomic<int> bad{0};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    if (barrier(w) != kSuccess) ++bad;
+    if (w.rank() == 0) threads = os_threads();
+    const long long mine = w.rank();
+    long long sum = 0;
+    if (allreduce(&mine, &sum, 1, ReduceOp::Sum, w) != kSuccess ||
+        sum != static_cast<long long>(kWorld) * (kWorld - 1) / 2) {
+      ++bad;
+    }
+  });
+  EXPECT_EQ(rt.run("main", kWorld), 0);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(threads.load(), 0);
+  EXPECT_LE(threads.load(), cores() + 2);
+}
+
+// A rank that polls shared state must yield its worker.  Eight ranks per
+// worker rendezvous on a counter: each arrives and yields until all have,
+// which can finish only if every yield lets the queued ranks run.
+TEST(FtmpiBasic, YieldingRanksRendezvousBeyondTheWorkerCount) {
+  const int n = 8 * cores();
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 30.0;
+  Runtime rt(opt);
+  std::atomic<int> arrived{0};
+  std::atomic<int> done{0};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    ++arrived;
+    while (arrived.load() < n) ftmpi::yield();
+    ++done;
+  });
+  EXPECT_EQ(rt.run("main", n), 0);
+  EXPECT_EQ(done.load(), n);
+}
+
+// Children spawned from a rank through comm_spawn_multiple start and finish
+// on the same workers as their parents, never on a thread of their own.
+TEST(FtmpiBasic, SpawnedChildrenRunOnTheWorkers) {
+  constexpr int kWorld = 4;
+  constexpr int kChildren = 8;
+  Runtime rt(small_opts());
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  std::atomic<int> children_done{0};
+  std::atomic<int> child_threads{-1};
+  auto note_thread = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  };
+  rt.register_app("main", [&](const std::vector<std::string>& argv) {
+    note_thread();
+    if (!argv.empty() && argv[0] == "child") {
+      ASSERT_EQ(barrier(world()), kSuccess);
+      if (world().rank() == 0) child_threads = os_threads();
+      note_thread();
+      ++children_done;
+      return;
+    }
+    std::vector<SpawnUnit> units(1);
+    units[0] = {"main", {"child"}, kChildren, -1};
+    Comm inter;
+    ASSERT_EQ(comm_spawn_multiple(units, 0, world(), &inter), kSuccess);
+    ASSERT_EQ(comm_free(&inter), kSuccess);
+    note_thread();
+  });
+  EXPECT_EQ(rt.run("main", kWorld), 0);
+  EXPECT_EQ(children_done.load(), kChildren);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 0U) << "a rank ran on the driver thread";
+  EXPECT_LE(static_cast<int>(ids.size()), cores());
+  EXPECT_GT(child_threads.load(), 0);
+  EXPECT_LE(child_threads.load(), cores() + 2);
+}
+
+// A rank that overflows its fiber stack hits the guard page below it and
+// the process dies on the fault, instead of writing into whatever memory
+// lies below the stack (another rank's stack, say).
+TEST(FtmpiBasicDeathTest, StackOverflowFaultsOnTheGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Runtime rt(small_opts());
+        rt.register_app("main", [](const std::vector<std::string>&) { (void)deep(256); });
+        rt.run("main", 1);
+      },
+      "");
 }

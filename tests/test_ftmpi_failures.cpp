@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -220,7 +219,7 @@ TEST(FtmpiFailures, PeerExitWakesItsWaiterWhileBystandersStayParked) {
         ASSERT_EQ(recv(&v, 1, 3, 0, w), kSuccess);
         answer = v;
       } else if (w.rank() == 3) {
-        while (code.load() < 0) std::this_thread::yield();
+        while (code.load() < 0) ftmpi::yield();
         v = 7;
         ASSERT_EQ(send(&v, 1, 2, 0, w), kSuccess);
       }
@@ -228,6 +227,105 @@ TEST(FtmpiFailures, PeerExitWakesItsWaiterWhileBystandersStayParked) {
     rt.run("main", 4);
     ASSERT_EQ(code.load(), kErrProcFailed) << "run " << run;
     ASSERT_EQ(answer.load(), 7) << "run " << run;
+  }
+}
+
+// A parked receive can be woken three ways, and each is hunted over
+// kRaceRuns runs with a 5 s watchdog, so a wake-up that misses a rank
+// between its last predicate check and its switch to the worker hangs the
+// run.  First: a delivery from a rank running on another worker.  Both
+// ranks hold their workers without yielding until the other has started,
+// so they run on two workers at once when rank 0 parks.
+TEST(FtmpiFailures, ParkedRecvWokenByDeliveryFromAnotherWorker) {
+  if (std::thread::hardware_concurrency() < 2) GTEST_SKIP() << "needs two workers";
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 5.0;
+  for (int run = 0; run < ftr_test::kRaceRuns; ++run) {
+    Runtime rt(opt);
+    std::atomic<int> started{0};
+    std::atomic<int> got{-1};
+    std::thread::id receiver;
+    std::thread::id sender;
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      ++started;
+      while (started.load() < 2) {
+      }
+      int v = 0;
+      if (w.rank() == 0) {
+        receiver = std::this_thread::get_id();
+        ASSERT_EQ(recv(&v, 1, 1, 0, w), kSuccess);
+        got = v;
+      } else {
+        const ProcessState& peer = runtime().proc(w.group().pids[0]);
+        while (peer.parked.load() == 0) {
+        }
+        sender = std::this_thread::get_id();
+        v = 42;
+        ASSERT_EQ(send(&v, 1, 0, 0, w), kSuccess);
+      }
+    });
+    rt.run("main", 2);
+    ASSERT_EQ(got.load(), 42) << "run " << run;
+    ASSERT_NE(receiver, sender) << "run " << run;
+  }
+}
+
+// Second: a kill from a thread outside the rank world.  Rank 1 stays alive
+// until rank 0 has finished, so no exit can end rank 0's receive instead.
+TEST(FtmpiFailures, ParkedRecvWokenByKillFromHarnessThread) {
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 5.0;
+  for (int run = 0; run < ftr_test::kRaceRuns; ++run) {
+    Runtime rt(opt);
+    std::atomic<ProcId> victim{kNullProc};
+    std::atomic<int> returned{0};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      if (w.rank() == 0) {
+        victim = self_pid();
+        int v = 0;
+        (void)recv(&v, 1, 1, 0, w);  // only the kill ends this receive
+        ++returned;                  // unreachable: the kill unwinds it
+      } else {
+        const ProcessState& peer = runtime().proc(w.group().pids[0]);
+        while (!peer.finished.load()) ftmpi::yield();
+      }
+    });
+    std::thread killer([&] {
+      while (victim.load() == kNullProc || rt.proc(victim.load()).parked.load() == 0) {
+        std::this_thread::yield();
+      }
+      rt.kill(victim.load());
+    });
+    const int killed = rt.run("main", 2);
+    killer.join();
+    ASSERT_EQ(killed, 1) << "run " << run;
+    ASSERT_EQ(returned.load(), 0) << "run " << run;
+  }
+}
+
+// Third: a revoke by a rank that stays alive until the receive returns.
+TEST(FtmpiFailures, ParkedRecvWokenByRevoke) {
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 5.0;
+  for (int run = 0; run < ftr_test::kRaceRuns; ++run) {
+    Runtime rt(opt);
+    std::atomic<int> code{-1};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      if (w.rank() == 0) {
+        int v = 0;
+        code = recv(&v, 1, 1, 0, w);  // rank 1 never sends on w
+      } else {
+        const ProcessState& peer = runtime().proc(w.group().pids[0]);
+        while (peer.parked.load() == 0) ftmpi::yield();
+        ASSERT_EQ(comm_revoke(w), kSuccess);
+        while (code.load() < 0) ftmpi::yield();
+      }
+    });
+    rt.run("main", 2);
+    ASSERT_EQ(code.load(), kErrRevoked) << "run " << run;
   }
 }
 
@@ -246,8 +344,8 @@ TEST(FtmpiFailures, TreeAllreduceReportsAMidCallDeathToEverySurvivor) {
     rt.register_app("main", [&](const std::vector<std::string>&) {
       Comm& w = world();
       if (w.rank() == kVictim) {
-        while (entering.load() < kRanks - 1) std::this_thread::yield();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        while (entering.load() < kRanks - 1) ftmpi::yield();
+        ftmpi::yield();
         abort_self();
       }
       const long long mine = w.rank();
@@ -541,7 +639,7 @@ TEST(FtmpiFailures, ExternalKillFromHarnessThread) {
       (void)recv(&v, 1, 0, 0, w);  // never satisfied
       ADD_FAILURE() << "dead process kept running";
     } else {
-      while (victim.load() == kNullProc) {}
+      while (victim.load() == kNullProc) ftmpi::yield();
       runtime().kill(victim.load());
       int v = 0;
       code = recv(&v, 1, 1, 0, w);

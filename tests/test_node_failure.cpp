@@ -100,7 +100,7 @@ TEST(NodeFailure, RepairRespawnsNodeCoLocated) {
     }
     // Survivors wait until the node's processes are really gone before
     // probing, so the repair happens in one deterministic episode.
-    while (runtime().killed_count() < 3) {}
+    while (runtime().killed_count() < 3) ftmpi::yield();
     const auto res = recon.reconstruct(w);
     if (res.comm.size() != 9) ++bad;
     if (res.comm.rank() != w.rank()) ++bad;

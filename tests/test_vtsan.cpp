@@ -110,7 +110,7 @@ using VtsanDeath = ::testing::Test;
 TEST(VtsanDeath, UnorderedWritesToOneKeyAbort) {
   // Two ranks write the same blackboard key and never exchange a message:
   // nothing orders the writes, so the surviving value is decided by which
-  // OS thread got the mutex last.  The tracker must abort the second write
+  // rank got the mutex last.  The tracker must abort the second write
   // with the write-write diagnostic naming both sites.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
