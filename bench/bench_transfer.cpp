@@ -1,7 +1,8 @@
 // Micro-benchmarks for the separable transfer engine and the hot paths it
 // replaced: table-driven transfers vs the legacy per-point sample() loop,
 // fused vs sequential combination, axis-map cache lookups, halo pack/unpack
-// with persistent scratch, and the slicing-by-8 CRC.  Together with
+// with persistent scratch, and the CRC-32 (carry-less-multiply folding where
+// the CPU has PCLMULQDQ, slicing-by-8 otherwise).  Together with
 // bench_micro these feed BENCH_micro.json (see tools/bench_to_json.py).
 
 #include <benchmark/benchmark.h>
@@ -155,7 +156,8 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(buf.size()));
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(buf.size()));
 }
-BENCHMARK(BM_Crc32)->Arg(1 << 12)->Arg(1 << 20);
+// 1 << 15 is one `overlap` replica payload (4096 doubles).
+BENCHMARK(BM_Crc32)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 20);
 
 }  // namespace
 

@@ -1,68 +1,41 @@
 #pragma once
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), used by the
 // checkpoint store and the buddy replica store to detect torn or corrupted
-// snapshots.
+// snapshots.  Every checkpoint write and buddy replication CRCs the full grid
+// payload on the sender and again on the reader, so this is a hot kernel.
 //
-// Implementation: slicing-by-8 — eight derived 256-entry tables let the loop
-// consume 8 bytes per iteration instead of 1, which matters because every
-// checkpoint write and buddy replication CRCs the full grid payload.  The
-// polynomial (and therefore every produced value) is unchanged from the old
-// bytewise implementation, so stored checkpoint and buddy CRCs remain
-// compatible.  Check value: crc32("123456789") == 0xCBF43926 (RFC 3720 /
-// zlib's CRC-32 check value).
+// Two paths compute the same values:
+//   - Carry-less-multiply folding (x86-64 with PCLMULQDQ and SSE4.1), after
+//     Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+//     PCLMULQDQ Instruction" (Intel, 2009): four 128-bit lanes fold 64 bytes
+//     per iteration, then fold to one lane, 16 bytes at a time, and a Barrett
+//     reduction leaves the 32-bit register.  It takes inputs of at least
+//     64 bytes, the smallest that fills the four lanes, and stops at the
+//     last whole 16-byte block.
+//   - Slicing-by-8: eight derived 256-entry tables consume 8 bytes per
+//     iteration.  It handles inputs under 64 bytes, the tail after the last
+//     16-byte block, other architectures and CPUs without PCLMULQDQ, and is the
+//     reference the tests hold the folding path to.
+// The process picks the path once, from CPUID, the first time crc32 is
+// called; nothing configures it.
+//
+// Not CRC-32C: SSE4.2's `crc32` instruction computes the Castagnoli
+// polynomial (0x82F63B78), a different checksum, so using it would change
+// every stored checkpoint and replica CRC.  Check value of this one:
+// crc32("123456789") == 0xCBF43926 (zlib's CRC-32 check value).
 
-#include <array>
-#include "common/annotations.hpp"
 #include <cstddef>
 #include <cstdint>
 
+#include "common/annotations.hpp"
+
 namespace ftr {
 
-namespace detail {
-
-inline constexpr std::array<std::array<std::uint32_t, 256>, 8> crc32_tables() {
-  std::array<std::array<std::uint32_t, 256>, 8> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[0][i] = c;
-  }
-  // t[k][i] is the CRC of byte i followed by k zero bytes; XORing the eight
-  // tables over eight consecutive input bytes advances the register by all
-  // eight at once.
-  for (std::size_t k = 1; k < 8; ++k) {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
-    }
-  }
-  return t;
-}
-
-/// Endian-safe little-endian 32-bit load (compiles to a plain load on LE).
-FTR_HOT inline std::uint32_t crc32_load_le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace detail
-
 /// Incremental CRC-32: pass the previous result as `seed` to chain buffers.
-FTR_HOT inline std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0) {
-  static constexpr auto t = detail::crc32_tables();
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  while (n >= 8) {
-    const std::uint32_t lo = c ^ detail::crc32_load_le(p);
-    const std::uint32_t hi = detail::crc32_load_le(p + 4);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
+/// Inputs of 64 bytes or more take the folding path when the CPU has it.
+FTR_HOT std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+/// The slicing-by-8 path alone, whatever the CPU: the same values as crc32.
+FTR_HOT std::uint32_t crc32_portable(const void* data, std::size_t n, std::uint32_t seed = 0);
 
 }  // namespace ftr

@@ -1,8 +1,10 @@
 #include "grid/decomposition.hpp"
 #include "common/annotations.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace ftr::grid {
 
@@ -85,20 +87,24 @@ void LocalField::store_to(Grid2D& full) const {
   }
 }
 
+// Interior row ly starts one halo cell into storage row ly + 1.
 std::vector<double> LocalField::pack_interior() const {
+  const auto w = static_cast<std::ptrdiff_t>(block_.width());
   std::vector<double> v;
   v.reserve(static_cast<size_t>(block_.cells()));
   for (int ly = 0; ly < block_.height(); ++ly) {
-    for (int lx = 0; lx < block_.width(); ++lx) v.push_back(at(lx, ly));
+    const auto row = data_.begin() + (ly + 1) * static_cast<std::ptrdiff_t>(stride_) + 1;
+    v.insert(v.end(), row, row + w);
   }
   return v;
 }
 
 void LocalField::unpack_interior(const std::vector<double>& v) {
   assert(v.size() == static_cast<size_t>(block_.cells()));
-  size_t k = 0;
+  const auto w = static_cast<std::ptrdiff_t>(block_.width());
   for (int ly = 0; ly < block_.height(); ++ly) {
-    for (int lx = 0; lx < block_.width(); ++lx) at(lx, ly) = v[k++];
+    std::copy_n(v.begin() + ly * w, w,
+                data_.begin() + (ly + 1) * static_cast<std::ptrdiff_t>(stride_) + 1);
   }
 }
 

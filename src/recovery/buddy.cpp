@@ -116,7 +116,11 @@ std::optional<ReplicaMessage> unpack_replica(const std::byte* bytes, std::size_t
   m.step = header[2];
   const long count = header[3];
   m.crc = static_cast<std::uint32_t>(header[4]);
-  if (count < 0 || n != kHeaderBytes + static_cast<std::size_t>(count) * sizeof(double)) {
+  // Compare the count with the payload present rather than multiplying it:
+  // a flipped high bit would wrap count * 8 back to the true size.
+  const std::size_t payload = n - kHeaderBytes;
+  if (count < 0 || payload % sizeof(double) != 0 ||
+      static_cast<std::size_t>(count) != payload / sizeof(double)) {
     return std::nullopt;
   }
   m.data.resize(static_cast<size_t>(count));
@@ -171,8 +175,11 @@ void BuddyStore::corrupt_newest(ftmpi::ProcId holder, int grid, int grank) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = slots_.find(Key{holder, grid, grank});
   if (it == slots_.end() || it->second.newest.data.empty()) return;
-  auto bits = reinterpret_cast<std::uint64_t*>(it->second.newest.data.data());
-  *bits ^= 0xdeadbeefcafebabeULL;
+  double& first = it->second.newest.data.front();
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &first, sizeof(bits));
+  bits ^= 0xdeadbeefcafebabeULL;
+  std::memcpy(&first, &bits, sizeof(bits));
 }
 
 long BuddyStore::replications() const {

@@ -20,6 +20,9 @@ namespace {
 // truncations that keep the header intact.
 constexpr std::uint32_t kMagic = 0x4654434Bu;  // "FTCK"
 constexpr std::uint32_t kVersion = 2;
+// magic 4 + version 4 + step 8 + count 8; the payload starts here.
+constexpr std::uint64_t kHeaderBytes = 24;
+constexpr std::uint64_t kFramingBytes = kHeaderBytes + sizeof(std::uint32_t);
 
 }  // namespace
 
@@ -144,11 +147,13 @@ std::optional<CheckpointStore::Snapshot> CheckpointStore::load_file(const std::s
     if (f || magic != 0 || n != 0) ++*corrupt_counter;
     return std::nullopt;
   }
-  // Reject absurd counts before allocating (a corrupt header could claim
-  // petabytes).
+  // The count must describe exactly the payload present.  Bound it by the
+  // file size before multiplying: a flipped high bit of a corrupt count
+  // would otherwise wrap n * 8 back to the true size and reach resize().
   std::error_code ec;
   const auto file_size = std::filesystem::file_size(path, ec);
-  if (ec || n * sizeof(double) + 24 + sizeof(std::uint32_t) != file_size) {
+  if (ec || file_size < kFramingBytes || n > (file_size - kFramingBytes) / sizeof(double) ||
+      n * sizeof(double) + kFramingBytes != file_size) {
     ++*corrupt_counter;
     return std::nullopt;
   }
@@ -251,9 +256,14 @@ void CheckpointStore::corrupt_latest(int grid_id, int rank) {
   const std::string path = path_for(grid_id, rank);
   std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
   if (!f) return;
-  f.seekp(16);  // first payload bytes (past magic/version/step)
-  const char garbage[8] = {'X', 'X', 'X', 'X', 'X', 'X', 'X', 'X'};
-  f.write(garbage, sizeof(garbage));
+  // Flip the first payload byte (the CRC's first byte when the payload is
+  // empty): the header stays valid, so only the CRC check can reject it.
+  char byte = 0;
+  f.seekg(static_cast<std::streamoff>(kHeaderBytes));
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x5A);
+  f.seekp(static_cast<std::streamoff>(kHeaderBytes));
+  f.write(&byte, 1);
 }
 
 long CheckpointStore::writes() const {

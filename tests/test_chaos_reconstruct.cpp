@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -333,19 +335,66 @@ TEST(CheckpointIntegrity, MemorySingleCorruptGenerationMeansRecompute) {
   EXPECT_EQ(store.fallback_reads(), 0);
 }
 
+namespace {
+
+/// The element count stored in a snapshot file (offset 16: magic 4,
+/// version 4, step 8).
+std::uint64_t file_count(const std::string& path) {
+  std::uint64_t n = 0;
+  std::ifstream f(path, std::ios::binary);
+  f.seekg(16);
+  f.read(reinterpret_cast<char*>(&n), sizeof(n));
+  return n;
+}
+
+}  // namespace
+
 TEST(CheckpointIntegrity, FileCorruptNewestFallsBackToPrev) {
+  // 4 KiB payloads, so the folding CRC path computes the rejected checksum.
   const std::string dir = ::testing::TempDir() + "ftr_ckpt_corrupt";
   ftr::rec::CheckpointStore store(dir);
   ASSERT_TRUE(store.file_backed());
-  store.write(0, 0, 8, {1.5, 2.5});
-  store.write(0, 0, 16, {3.5, 4.5});
+  std::vector<double> g8(512), g16(512);
+  for (size_t i = 0; i < g8.size(); ++i) {
+    g8[i] = 1.5 + static_cast<double>(i);
+    g16[i] = 3.5 - static_cast<double>(i);
+  }
+  store.write(0, 0, 8, g8);
+  store.write(0, 0, 16, g16);
   store.corrupt_latest(0, 0);
+  // The header and size still match, so only the CRC can reject the file.
+  EXPECT_EQ(file_count(store.latest_path(0, 0)), 512u);
+  EXPECT_EQ(std::filesystem::file_size(store.latest_path(0, 0)), 24u + 512u * 8u + 4u);
   const auto snap = store.read_latest(0, 0);
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->step, 8);
-  EXPECT_EQ(snap->data, (std::vector<double>{1.5, 2.5}));
+  EXPECT_EQ(snap->data, g8);
   EXPECT_GE(store.corrupt_detected(), 1);
   EXPECT_EQ(store.fallback_reads(), 1);
+}
+
+TEST(CheckpointIntegrity, FileCountWithAFlippedHighBitFallsBackToPrev) {
+  // Bit 61 of the count multiplies by 8 to 2^64, so count * 8 wraps back to
+  // the true payload size; the reader must reject the file and fall back
+  // rather than try to allocate 2^61 doubles.
+  const std::string dir = ::testing::TempDir() + "ftr_ckpt_count_wrap";
+  ftr::rec::CheckpointStore store(dir);
+  const std::vector<double> g8(16, 1.0);
+  store.write(0, 0, 8, g8);
+  store.write(0, 0, 16, std::vector<double>(16, 2.0));
+  const std::string path = store.latest_path(0, 0);
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint64_t n = file_count(path) ^ (std::uint64_t{1} << 61);
+    f.seekp(16);
+    f.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  }
+  ASSERT_EQ(file_count(path), 16u | (std::uint64_t{1} << 61));
+  const auto snap = store.read_latest(0, 0);
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->step, 8);
+  EXPECT_EQ(snap->data, g8);
+  EXPECT_GE(store.corrupt_detected(), 1);
 }
 
 TEST(CheckpointIntegrity, FileTruncatedSnapshotDetected) {

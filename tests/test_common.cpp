@@ -1,5 +1,5 @@
 // Unit tests for the common utilities: CLI parsing, table/CSV output,
-// deterministic RNG, and log-level parsing.
+// deterministic RNG, log-level parsing and CRC-32.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -136,8 +137,10 @@ TEST(Logging, EnabledRespectsThreshold) {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (slicing-by-8): known-answer vectors and equivalence with a plain
-// bytewise reference, so stored checkpoint/buddy CRCs stay compatible.
+// CRC-32: known-answer vectors, and both paths (the dispatched crc32, which
+// folds with PCLMULQDQ where the CPU has it, and the slicing-by-8
+// crc32_portable) against a plain bytewise reference, so stored checkpoint
+// and buddy CRCs stay compatible.
 
 namespace {
 
@@ -158,40 +161,77 @@ std::uint32_t crc32_bytewise(const void* data, std::size_t n, std::uint32_t seed
   return c ^ 0xFFFFFFFFu;
 }
 
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<unsigned char> buf(n);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng() >> 56);
+  return buf;
+}
+
 }  // namespace
 
 TEST(Crc32, KnownAnswerVectors) {
   // RFC 3720 appendix / zlib's documented CRC-32 check value.
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(crc32("", 0), 0x00000000u);
-  EXPECT_EQ(crc32("a", 1), 0xE8B7BE43u);
-  EXPECT_EQ(crc32("abc", 3), 0x352441C2u);
-  EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog", 43), 0x414FA339u);
+  for (const auto f : {&crc32, &crc32_portable}) {
+    EXPECT_EQ(f("123456789", 9, 0), 0xCBF43926u);
+    EXPECT_EQ(f("", 0, 0), 0x00000000u);
+    EXPECT_EQ(f("a", 1, 0), 0xE8B7BE43u);
+    EXPECT_EQ(f("abc", 3, 0), 0x352441C2u);
+    EXPECT_EQ(f("The quick brown fox jumps over the lazy dog", 43, 0), 0x414FA339u);
+  }
+  // 64 bytes and more reach the folding path where the CPU has PCLMULQDQ.
+  const std::string zeros(64, '\0');
+  EXPECT_EQ(crc32(zeros.data(), zeros.size()), 0x758D6336u);
 }
 
 TEST(Crc32, MatchesBytewiseReferenceAtAllLengths) {
-  // Exercise every tail length around the 8-byte slicing boundary, plus a
-  // payload-sized buffer, from every small offset (alignment independence).
-  std::vector<unsigned char> buf(4096);
-  for (size_t i = 0; i < buf.size(); ++i) {
-    buf[i] = static_cast<unsigned char>((i * 131 + 89) & 0xFF);
-  }
-  for (size_t off = 0; off < 9; ++off) {
-    for (size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 63ul, 64ul, 1000ul, 4000ul}) {
-      if (off + n > buf.size()) continue;
-      EXPECT_EQ(crc32(buf.data() + off, n), crc32_bytewise(buf.data() + off, n))
-          << "offset " << off << " length " << n;
+  // Every length across the slicing and 16-byte folding boundaries and the
+  // 64-byte folding threshold, block multiples plus and minus one, and a
+  // 32 KiB `overlap` replica payload plus one word (so the fold leaves a
+  // tail), each from every offset within a 16-byte block.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n : {1023ul, 1024ul, 1025ul, 4096ul, 32776ul}) lengths.push_back(n);
+  const auto buf = random_bytes(32776 + 16, 1);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t n : lengths) {
+      const unsigned char* p = buf.data() + off;
+      const std::uint32_t want = crc32_bytewise(p, n);
+      EXPECT_EQ(crc32(p, n), want) << "offset " << off << " length " << n;
+      EXPECT_EQ(crc32_portable(p, n), want) << "offset " << off << " length " << n;
     }
   }
 }
 
 TEST(Crc32, IncrementalChainingMatchesWholeBuffer) {
-  std::vector<unsigned char> buf(1537);
-  for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<unsigned char>(i * 7);
-  const std::uint32_t whole = crc32(buf.data(), buf.size());
-  for (size_t split : {1ul, 8ul, 9ul, 512ul, 1536ul}) {
-    const std::uint32_t part = crc32(buf.data(), split);
-    EXPECT_EQ(crc32(buf.data() + split, buf.size() - split, part), whole)
-        << "split at " << split;
+  const auto buf = random_bytes(300, 2);
+  for (const std::uint32_t seed : {0x00000001u, 0xFFFFFFFFu, 0x12345678u, 0xCBF43926u}) {
+    for (std::size_t n : {0ul, 7ul, 64ul, 65ul, 200ul, 300ul}) {
+      const std::uint32_t want = crc32_bytewise(buf.data(), n, seed);
+      EXPECT_EQ(crc32(buf.data(), n, seed), want) << "seed " << seed << " length " << n;
+      EXPECT_EQ(crc32_portable(buf.data(), n, seed), want) << "seed " << seed;
+    }
+  }
+  // Splitting the 300-byte buffer at any point and chaining the two halves
+  // gives the whole buffer's CRC, whichever path each half takes.
+  const std::uint32_t whole = crc32_bytewise(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = crc32(buf.data(), split);
+    EXPECT_EQ(crc32(buf.data() + split, buf.size() - split, head), whole) << "split " << split;
+    EXPECT_EQ(crc32_portable(buf.data() + split, buf.size() - split, head), whole)
+        << "split " << split;
+  }
+}
+
+TEST(Crc32, RandomOffsetLengthSeedTriplesMatchBytewiseReference) {
+  const auto buf = random_bytes(8192 + 16, 3);
+  Xoshiro256 rng(4);
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t off = rng() % 16;
+    const std::size_t n = rng() % 4097;
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const unsigned char* p = buf.data() + off;
+    ASSERT_EQ(crc32(p, n, seed), crc32_bytewise(p, n, seed))
+        << "offset " << off << " length " << n << " seed " << seed;
   }
 }

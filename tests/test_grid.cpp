@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <vector>
 
 #include "ftmpi/api.hpp"
 #include "grid/decomposition.hpp"
@@ -169,6 +171,49 @@ TEST(LocalField, LoadStoreRoundTrip) {
   out.enforce_periodicity();
   g.enforce_periodicity();
   EXPECT_TRUE(g == out);
+}
+
+TEST(LocalField, InteriorPackIsRowMajorAndLeavesHalosAlone) {
+  // Every stored cell, halo included, holds a distinct value, so a pack
+  // that reads a halo cell or a wrong row shows up as a wrong value.
+  for (const int w : {1, 3, 7}) {
+    const int h = 5;
+    LocalField f(Block{2, 2 + w, 3, 3 + h});
+    std::vector<double>& raw = f.raw();
+    for (size_t i = 0; i < raw.size(); ++i) raw[i] = static_cast<double>(i) + 0.5;
+
+    const std::vector<double> packed = f.pack_interior();
+    ASSERT_EQ(packed.size(), static_cast<size_t>(w * h)) << "width " << w;
+    for (int ly = 0; ly < h; ++ly) {
+      for (int lx = 0; lx < w; ++lx) {
+        EXPECT_EQ(packed[static_cast<size_t>(ly * w + lx)], f.at(lx, ly))
+            << "width " << w << " cell (" << lx << ", " << ly << ")";
+      }
+    }
+
+    // Unpacking new values writes exactly the interior, in the same order.
+    std::vector<double> fresh(packed.size());
+    for (size_t k = 0; k < fresh.size(); ++k) fresh[k] = -1.0 - static_cast<double>(k);
+    std::vector<double> expected = raw;
+    for (int ly = 0; ly < h; ++ly) {
+      for (int lx = 0; lx < w; ++lx) {
+        expected[static_cast<size_t>((ly + 1) * (w + 2) + lx + 1)] =
+            fresh[static_cast<size_t>(ly * w + lx)];
+      }
+    }
+    f.unpack_interior(fresh);
+    EXPECT_EQ(f.raw(), expected) << "width " << w;
+    EXPECT_EQ(f.pack_interior(), fresh) << "width " << w;
+
+    // Round trip into a field with other halos: interior restored, halos kept.
+    LocalField g(f.block());
+    for (double& x : g.raw()) x = 7.25;
+    g.unpack_interior(packed);
+    EXPECT_EQ(g.pack_interior(), packed) << "width " << w;
+    EXPECT_EQ(std::count(g.raw().begin(), g.raw().end(), 7.25),
+              static_cast<long>(g.raw().size()) - w * h)
+        << "width " << w;
+  }
 }
 
 TEST(HaloExchange, MatchesPeriodicNeighborsAcrossRanks) {

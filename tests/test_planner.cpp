@@ -297,9 +297,13 @@ TEST(BuddyStore, KeepsTwoCrcVerifiedGenerations) {
 }
 
 TEST(BuddyStore, CorruptNewestFailsCrcAndPrevSurvives) {
+  // 4 KiB payloads, so the folding CRC path computes the rejected checksum.
   BuddyStore store;
-  const std::vector<double> g8{1.5, 2.5};
-  const std::vector<double> g16{3.5, 4.5};
+  std::vector<double> g8(512), g16(512);
+  for (size_t i = 0; i < g8.size(); ++i) {
+    g8[i] = 1.5 + static_cast<double>(i);
+    g16[i] = -3.5 * static_cast<double>(i);
+  }
   store.put(3, 0, 1, 8, g8, ftr::rec::snapshot_crc(8, g8));
   store.put(3, 0, 1, 16, g16, ftr::rec::snapshot_crc(16, g16));
   store.corrupt_newest(3, 0, 1);
@@ -344,6 +348,17 @@ TEST(BuddyWire, PackUnpackRoundTripAndRejection) {
   EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), buf.size() - 1).has_value());
   EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), 3).has_value());
   buf[buf.size() - 2] ^= std::byte{0x40};
+  EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), buf.size()).has_value());
+}
+
+TEST(BuddyWire, CountWithAFlippedHighBitIsRejected) {
+  // Bit 61 of the count (header long 3) multiplies by 8 to 2^64, so count * 8
+  // wraps back to the true payload size; the reader must still reject it
+  // rather than try to allocate 2^61 doubles.
+  const std::vector<double> data(64, 0.5);
+  auto buf = ftr::rec::pack_replica(1, 0, 8, data);
+  ASSERT_TRUE(ftr::rec::unpack_replica(buf.data(), buf.size()).has_value());
+  buf[3 * sizeof(long) + 7] ^= std::byte{0x20};
   EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), buf.size()).has_value());
 }
 
