@@ -7,8 +7,19 @@
 // shrink dominate and grow steeply with the core count; agree is smaller;
 // merge is negligible.  Absolute magnitudes differ from the paper's beta
 // implementation (see DESIGN.md "Known deviations").
+//
+// --json=<path> also writes the simulator's own cost per core count, in
+// google-benchmark JSON for tools/bench_to_json.py (the CI scaling gate):
+// BM_Table1Scale/<cores>/wall is ranks per second of wall time over the
+// count's reps, BM_Table1Scale/<cores>/peak_rss ranks per MB of the
+// process's peak RSS so far.  A peak covers every count run before it, so
+// the gate runs one count per process.
+
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 
 #include "bench_common.hpp"
 #include "core/reconstruct.hpp"
@@ -47,6 +58,44 @@ Sample measure(const BenchEnv& env, int procs, int failures) {
   return Sample{spawn.load(), shrink.load(), agree.load(), merge.load()};
 }
 
+/// The simulator's wall time and peak RSS for one core count.
+struct HostCost {
+  long cores = 0;
+  double wall_s = 0;
+  double peak_rss_mb = 0;
+};
+
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux reports KiB
+}
+
+void emit_json(const std::string& path, const std::vector<HostCost>& costs) {
+  std::FILE* fp = std::fopen(path.c_str(), "w");
+  if (fp == nullptr) {
+    std::fprintf(stderr, "json write failed: %s\n", path.c_str());
+    return;
+  }
+  std::fprintf(fp, "{\n  \"benchmarks\": [\n");
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    const HostCost& c = costs[i];
+    const auto ranks = static_cast<double>(c.cores);
+    std::fprintf(fp,
+                 "    {\"name\": \"BM_Table1Scale/%ld/wall\", \"run_type\": \"iteration\", "
+                 "\"items_per_second\": %.6f, \"real_time\": %.6f, \"time_unit\": \"s\"},\n",
+                 c.cores, ranks / c.wall_s, c.wall_s);
+    std::fprintf(fp,
+                 "    {\"name\": \"BM_Table1Scale/%ld/peak_rss\", \"run_type\": \"iteration\", "
+                 "\"items_per_second\": %.6f, \"peak_rss_mb\": %.3f}%s\n",
+                 c.cores, ranks / c.peak_rss_mb, c.peak_rss_mb,
+                 i + 1 < costs.size() ? "," : "");
+  }
+  std::fprintf(fp, "  ]\n}\n");
+  std::fclose(fp);
+  std::printf("json written: %s\n", path.c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -54,10 +103,13 @@ int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::from_cli(cli);
   const auto cores = cli.get_int_list("cores", {19, 38, 76, 152, 304});
   const int failures = static_cast<int>(cli.get_int("failures", 2));
+  const std::string json = cli.get("json", "");
 
   Table table({"cores", "spawn_multiple(s)", "shrink(s)", "agree(s)", "merge(s)"});
+  std::vector<HostCost> costs;
   for (long procs : cores) {
     std::vector<double> vs, vh, va, vm;
+    const auto t0 = std::chrono::steady_clock::now();
     for (int rep = 0; rep < env.reps; ++rep) {
       const Sample s = measure(env, static_cast<int>(procs), failures);
       vs.push_back(s.spawn);
@@ -65,11 +117,14 @@ int main(int argc, char** argv) {
       va.push_back(s.agree);
       vm.push_back(s.merge);
     }
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
+    costs.push_back({procs, wall.count(), peak_rss_mb()});
     table.add_row({Table::num(procs), Table::num(mean(vs)), Table::num(mean(vh)),
                    Table::num(mean(va)), Table::num(mean(vm))});
   }
   emit(table, env,
        "Table I: fault-tolerant MPI primitive times with " + std::to_string(failures) +
            " failed processes");
+  if (!json.empty()) emit_json(json, costs);
   return 0;
 }

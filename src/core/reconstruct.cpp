@@ -73,21 +73,26 @@ std::vector<int> Reconstructor::failed_procs_list(const ftmpi::Comm& broken,
 
 int Reconstructor::select_rank_key(int merged_rank, [[maybe_unused]] int shrunken_size,
                                    const std::vector<int>& failed_ranks, int total_procs) {
-  // Fig. 7: survivors keep their original rank as the split key.  Build the
-  // list of surviving original ranks in order; merged rank i (a survivor,
-  // i < shrunken_size) originally held the i-th surviving rank.
-  std::vector<bool> failed(static_cast<size_t>(total_procs), false);
+  // Fig. 7: survivors keep their original rank as the split key; merged
+  // rank i (a survivor, i < shrunken_size) originally held the i-th
+  // surviving rank.  Fig. 7 lists the survivors to find it; walking the
+  // failed ranks in order finds it in O(failures): each one at or below
+  // the candidate pushes it one rank on.
+  std::vector<int> failed;
+  failed.reserve(failed_ranks.size());
   for (int f : failed_ranks) {
-    if (f >= 0 && f < total_procs) failed[static_cast<size_t>(f)] = true;
+    if (f >= 0 && f < total_procs) failed.push_back(f);
   }
-  std::vector<int> shrink_merge_list;
-  shrink_merge_list.reserve(static_cast<size_t>(total_procs));
-  for (int r = 0; r < total_procs; ++r) {
-    if (!failed[static_cast<size_t>(r)]) shrink_merge_list.push_back(r);
-  }
+  std::sort(failed.begin(), failed.end());
+  failed.erase(std::unique(failed.begin(), failed.end()), failed.end());
   assert(merged_rank < shrunken_size);
-  assert(static_cast<size_t>(shrunken_size) == shrink_merge_list.size());
-  return shrink_merge_list[static_cast<size_t>(merged_rank)];
+  assert(shrunken_size == total_procs - static_cast<int>(failed.size()));
+  int key = merged_rank;
+  for (int f : failed) {
+    if (f > key) break;
+    ++key;
+  }
+  return key;
 }
 
 int Reconstructor::respawn(const ftmpi::Comm& group, const std::vector<int>& failed,

@@ -23,6 +23,31 @@ int rank_in(const std::vector<int>& table, ProcId p) {
 
 }  // namespace
 
+void CommContext::index_members() {
+  const Group& g = agreement_group();
+  member_index.clear();
+  member_index.reserve(g.pids.size());
+  for (int r = 0; r < g.size(); ++r) member_index.emplace_back(g.pids[static_cast<size_t>(r)], r);
+  // Stable, so a pid listed twice maps to its first rank, as Group::rank_of.
+  std::stable_sort(member_index.begin(), member_index.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+int CommContext::agreement_rank(ProcId pid) const {
+  const auto it = std::lower_bound(member_index.begin(), member_index.end(), pid,
+                                   [](const auto& e, ProcId p) { return e.first < p; });
+  return it != member_index.end() && it->first == pid ? it->second : -1;
+}
+
+int CommContext::rank_of(int side, ProcId pid) const {
+  const int r = agreement_rank(pid);
+  if (!is_inter) return side == 0 ? r : -1;
+  // Side 1 follows all of side 0 in the agreement group.
+  const int n0 = group[0].size();
+  if (side == 0) return r < n0 ? r : -1;
+  return r >= n0 ? r - n0 : -1;
+}
+
 GroupOrder group_compare(const Group& a, const Group& b) {
   if (a.pids == b.pids) return GroupOrder::Ident;
   if (a.pids.size() != b.pids.size()) return GroupOrder::Unequal;

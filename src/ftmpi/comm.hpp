@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "ftmpi/types.hpp"
@@ -98,6 +99,10 @@ struct CommContext {
   std::mutex snapshot_mu;  ///< guards snapshot
   std::shared_ptr<const MemberSnapshot> snapshot;
 
+  /// (pid, rank in the agreement group) of every member, sorted by pid:
+  /// the one pid -> rank table all members share.  Built by index_members().
+  std::vector<std::pair<ProcId, int>> member_index;
+
   [[nodiscard]] const Group& local_group(int side) const { return group[side]; }
   [[nodiscard]] const Group& remote_group(int side) const { return group[1 - side]; }
   /// The members an agreement spans: an intracommunicator's group, or both
@@ -105,6 +110,14 @@ struct CommContext {
   [[nodiscard]] const Group& agreement_group() const {
     return is_inter ? both_sides : group[0];
   }
+  /// Fill member_index from the groups; Runtime::create_context calls it
+  /// once, before the context is shared.
+  void index_members();
+  /// Rank of `pid` in the agreement group, or -1 for a non-member (a
+  /// binary search in member_index).
+  [[nodiscard]] int agreement_rank(ProcId pid) const;
+  /// Rank of `pid` in group[side], or -1 for a non-member.
+  [[nodiscard]] int rank_of(int side, ProcId pid) const;
 };
 
 class Comm;  // fwd
@@ -131,7 +144,7 @@ class Comm {
 
   Comm(std::shared_ptr<CommContext> ctx, int side, ProcId self)
       : ctx_(std::move(ctx)), side_(side), self_(self),
-        rank_(ctx_ ? ctx_->local_group(side).rank_of(self) : -1),
+        rank_(ctx_ ? ctx_->rank_of(side, self) : -1),
         local_(std::make_shared<CommLocal>()) {}
 
   [[nodiscard]] bool is_null() const { return ctx_ == nullptr; }

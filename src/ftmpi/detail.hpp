@@ -39,21 +39,42 @@ FTR_YIELD void charge(double seconds);
 double now();
 
 /// Publishes, for the lifetime of a blocking wait loop, that the calling
-/// rank is parked (ProcessState::parked) and which exits can end its wait.
-/// Construct it under ps.mu before the loop's first predicate check.
+/// rank is parked (ProcessState::parked), and registers the wait for the
+/// exits that can end it (Runtime::watch_exits) before it first parks.
+/// Construct it under ps.mu before the loop's first predicate check; end
+/// it before anything else can wait on the rank (an error handler, say).
 class ParkedScope {
  public:
-  ParkedScope(ProcessState& ps, ProcId peer, bool on_membership) : ps_(ps) {
-    ps_.parked_peer.store(peer);
-    ps_.parked.store(ProcessState::kParked |
-                     (on_membership ? ProcessState::kParkedOnMembership : 0));
+  /// `peer` is the one sender whose exit can end the wait (nullptr for
+  /// none); with `any_exit`, every exit can (a wait on several peers, or
+  /// one that the membership epoch interrupts).
+  ParkedScope(ProcessState& ps, ProcessState* peer, bool any_exit)
+      : ps_(ps), peer_(peer), any_exit_(any_exit) {
+    ps_.parked.store(1);
   }
   ParkedScope(const ParkedScope&) = delete;
   ParkedScope& operator=(const ParkedScope&) = delete;
-  ~ParkedScope() { ps_.parked.store(0); }
+  ~ParkedScope() {
+    Runtime::unwatch_exits(ps_, watch_);
+    ps_.parked.store(0);
+  }
+  /// Call under ps.mu before parking.  The first call registers the wait
+  /// for its exits and returns true when it did: the caller then checks its
+  /// predicates once more before it parks.  A wait that never parks never
+  /// registers.
+  bool watch_exits() {
+    if (watching_) return false;
+    watching_ = true;
+    watch_ = ps_.rt->watch_exits(ps_, peer_, any_exit_);
+    return watch_.list != nullptr;
+  }
 
  private:
   ProcessState& ps_;
+  ProcessState* peer_;
+  bool any_exit_;
+  bool watching_ = false;
+  Runtime::ExitWatch watch_;
 };
 
 struct RecvOpts {
@@ -123,9 +144,6 @@ std::vector<T> unpack_vec(const std::vector<std::byte>& bytes) {
   std::memcpy(v.data(), bytes.data(), v.size() * sizeof(T));
   return v;
 }
-
-/// Rank indices of g's members that are alive (global runtime truth).
-[[nodiscard]] std::vector<int> live_ranks(const Group& g);
 
 /// The member snapshot of ctx's agreement group for the epochs the caller
 /// loaded: the cached one when it was taken for the same two values, else a

@@ -19,28 +19,6 @@ namespace {
 
 const Options& opts(const ProcessState& ps) { return ps.rt->options().detector; }
 
-/// Ring membership: started, unfinished pids (RTE-visible facts) minus the
-/// failures this rank already knows about.  Deliberately *not* filtered by
-/// oracle liveness — a dead pid stays in the ring until its successor times
-/// out on it; that timeout is the detection mechanism.
-std::vector<ProcId> ring_members(const ProcessState& ps) {
-  std::vector<ProcId> m = ps.rt->active_pids();
-  if (!ps.det.known_failed.empty()) {
-    m.erase(std::remove_if(m.begin(), m.end(),
-                           [&ps](ProcId p) { return ps.det.known_failed.count(p) > 0; }),
-            m.end());
-  }
-  return m;
-}
-
-/// Position of ps in the ring, or -1 when ps is not a member (e.g. during
-/// startup before every peer has joined).
-int ring_index(const std::vector<ProcId>& m, ProcId pid) {
-  const auto it = std::lower_bound(m.begin(), m.end(), pid);
-  if (it == m.end() || *it != pid) return -1;
-  return static_cast<int>(it - m.begin());
-}
-
 /// Deliver one detector-channel message.  The detector is a *zero
 /// virtual-cost* overlay: which rank drains which message first depends on
 /// real thread scheduling, so any virtual-time charge here would make the
@@ -68,13 +46,14 @@ void send_det(ProcessState& ps, ProcId dst, int tag, const std::vector<std::byte
 /// Every receiver of fresh information fans out the same way, so the whole
 /// ring learns in O(log N) hops; stale duplicates die at epoch_ok().
 void gossip_fan_out(ProcessState& ps, ProcId dead, ProcId origin, std::uint32_t hops) {
-  const std::vector<ProcId> m = ring_members(ps);
-  const int mi = ring_index(m, ps.pid);
-  if (mi < 0 || m.size() < 2) return;
+  const std::shared_ptr<const std::vector<ProcId>> roster = ps.rt->roster();
+  const RingView ring(*roster, ps.det.known_failed);
+  const int mi = ring.index_of(ps.pid);
+  if (mi < 0 || ring.size() < 2) return;
   chaos_point("detector.gossip");
   std::set<ProcId> targets;
-  for (std::size_t step = 1; step < m.size(); step *= 2) {
-    targets.insert(m[(static_cast<std::size_t>(mi) + step) % m.size()]);
+  for (std::size_t step = 1; step < ring.size(); step *= 2) {
+    targets.insert(ring.at((static_cast<std::size_t>(mi) + step) % ring.size()));
   }
   targets.erase(ps.pid);
   const GossipWire w{dead, origin, ps.det.epoch, hops, 0};
@@ -129,20 +108,19 @@ void absorb_one(ProcessState& ps, const Message& msg) {
 void ring_tick(ProcessState& ps) {
   State& st = ps.det;
   const Options& o = opts(ps);
-  const std::vector<ProcId> m = ring_members(ps);
-  const int mi = ring_index(m, ps.pid);
-  if (mi < 0 || m.size() < 2) return;
+  const std::shared_ptr<const std::vector<ProcId>> roster = ps.rt->roster();
+  const RingView::Neighbours nb = RingView(*roster, st.known_failed).neighbours(ps.pid);
+  if (nb.succ == kNullProc) return;
 
   // Heartbeat the ring successor (a blind post: the network drops traffic
   // to a crashed process, which is exactly what starves the observer).
-  const ProcId succ = m[(static_cast<std::size_t>(mi) + 1) % m.size()];
   chaos_point("detector.heartbeat");
   const HeartbeatWire hb{ps.pid, 0, st.epoch, ++st.hb_seq};
-  send_det(ps, succ, tags::kHeartbeat, detail::pack(hb));
+  send_det(ps, nb.succ, tags::kHeartbeat, detail::pack(hb));
   ++st.heartbeats_sent;
 
   // Judge the ring predecessor by the silence since its last heartbeat.
-  const ProcId pred = m[(static_cast<std::size_t>(mi) + m.size() - 1) % m.size()];
+  const ProcId pred = nb.pred;
   const auto it = st.last_heard.find(pred);
   if (it == st.last_heard.end()) {
     st.last_heard[pred] = ps.vclock;  // grace starts at first observation
@@ -174,6 +152,44 @@ void ring_tick(ProcessState& ps) {
 }
 
 }  // namespace
+
+RingView::RingView(const std::vector<ProcId>& roster, const std::set<ProcId>& known_failed)
+    : roster_(roster) {
+  // Both are in pid order, so the skipped indices come out ascending.
+  for (ProcId p : known_failed) {
+    const auto it = std::lower_bound(roster_.begin(), roster_.end(), p);
+    if (it != roster_.end() && *it == p) {
+      skipped_.push_back(static_cast<std::size_t>(it - roster_.begin()));
+    }
+  }
+}
+
+int RingView::index_of(ProcId pid) const {
+  const auto it = std::lower_bound(roster_.begin(), roster_.end(), pid);
+  if (it == roster_.end() || *it != pid) return -1;
+  const auto j = static_cast<std::size_t>(it - roster_.begin());
+  const auto s = std::lower_bound(skipped_.begin(), skipped_.end(), j);
+  if (s != skipped_.end() && *s == j) return -1;
+  return static_cast<int>(j - static_cast<std::size_t>(s - skipped_.begin()));
+}
+
+ProcId RingView::at(std::size_t i) const {
+  // Each skipped roster index at or below the candidate pushes it one on.
+  std::size_t j = i;
+  for (std::size_t s : skipped_) {
+    if (s > j) break;
+    ++j;
+  }
+  return roster_[j];
+}
+
+RingView::Neighbours RingView::neighbours(ProcId self) const {
+  const int mi = index_of(self);
+  const std::size_t n = size();
+  if (mi < 0 || n < 2) return {};
+  const auto i = static_cast<std::size_t>(mi);
+  return {at((i + n - 1) % n), at((i + 1) % n)};
+}
 
 bool enabled(const ProcessState& ps) {
   return ps.rt != nullptr && ps.rt->options().detector.enabled;

@@ -10,8 +10,9 @@
 //   suspected ──(silence > confirm_after, probe confirms)──> confirmed
 //   confirmed ──(gossip fan-out, O(log N) rounds)──> propagated
 //
-// Ring: the started, unfinished, not-known-failed pids in pid order.  Each
-// rank heartbeats its ring successor once per period and observes its ring
+// Ring: the started, unfinished, not-known-failed pids in pid order, read
+// from the runtime's shared roster (RingView), never copied.  Each rank
+// heartbeats its ring successor once per period and observes its ring
 // predecessor.  A suspect is never declared dead on silence alone: the
 // observer pays for a direct probe round-trip first, so a slow-but-alive
 // rank costs a false alarm, never a false positive.
@@ -110,6 +111,32 @@ struct State {
   long gossip_received = 0;
   long stale_discarded = 0;
   long false_alarms = 0;          ///< suspects that answered the probe
+};
+
+/// One rank's view of the observation ring: the shared roster
+/// (Runtime::roster) minus the failures the rank knows of, both in pid
+/// order, without copying the roster.  Construction costs O(F log N) for F
+/// known failures, index_of O(log N) and at O(F).  The roster must outlive
+/// the view.
+class RingView {
+ public:
+  RingView(const std::vector<ProcId>& roster, const std::set<ProcId>& known_failed);
+  [[nodiscard]] std::size_t size() const { return roster_.size() - skipped_.size(); }
+  /// Ring position of pid, or -1 when pid is not a member.
+  [[nodiscard]] int index_of(ProcId pid) const;
+  /// The member at ring position i < size().
+  [[nodiscard]] ProcId at(std::size_t i) const;
+  struct Neighbours {
+    ProcId pred = kNullProc;
+    ProcId succ = kNullProc;
+  };
+  /// self's ring predecessor and successor; both kNullProc when self is no
+  /// member or the ring has fewer than two.
+  [[nodiscard]] Neighbours neighbours(ProcId self) const;
+
+ private:
+  const std::vector<ProcId>& roster_;
+  std::vector<std::size_t> skipped_;  ///< roster indices of known failures, ascending
 };
 
 /// True when ps's runtime runs the detector (Options::enabled).

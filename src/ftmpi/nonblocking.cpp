@@ -163,25 +163,29 @@ FTR_YIELD int probe(int src, int tag, const Comm& c, Status* status) {
   if (c.is_null()) return kErrComm;
   FTR_PSAN_USE(c, "probe");
   ProcessState& ps = detail::self();
-  std::unique_lock<std::mutex> lock(ps.mu);
   // Only the named sender's exit can make the probe hopeless.
-  const detail::ParkedScope parked(ps, src == kAnySource ? kNullProc : c.peer_pid(src),
-                                   /*on_membership=*/false);
-  for (;;) {
-    if (ps.dead.load()) throw ProcessKilled{ps.pid};
-    // Check under the lock the wait parks with: a delivery, revoke or sender
-    // exit that lands between a check and the wait would never wake it.
-    int flag = 0;
-    const int rc = probe_locked(ps, src, tag, c, &flag, status);
-    if (rc != kSuccess) {
-      lock.unlock();
-      return finish(c, rc);
+  ProcessState* sender = src == kAnySource ? nullptr : &detail::rt().proc(c.peer_pid(src));
+  int rc = kSuccess;
+  {
+    std::unique_lock<std::mutex> lock(ps.mu);
+    detail::ParkedScope parked(ps, sender, /*any_exit=*/false);
+    for (;;) {
+      if (ps.dead.load()) throw ProcessKilled{ps.pid};
+      // Check under the lock the wait parks with: a delivery, revoke or
+      // sender exit that lands between a check and the wait would never
+      // wake it.
+      int flag = 0;
+      rc = probe_locked(ps, src, tag, c, &flag, status);
+      if (rc != kSuccess) break;
+      if (flag) return kSuccess;
+      if (parked.watch_exits()) continue;
+      FTR_DLSAN_BLOCK_PROBE(c, src, tag);
+      Runtime::park(lock);
+      FTR_DLSAN_UNBLOCK();
     }
-    if (flag) return kSuccess;
-    FTR_DLSAN_BLOCK_PROBE(c, src, tag);
-    Runtime::park(lock);
-    FTR_DLSAN_UNBLOCK();
   }
+  // The wait is over before the error handler runs, which may wait itself.
+  return finish(c, rc);
 }
 
 int iprobe_buffered(int src, int tag, const Comm& c, int* flag, Status* status) {

@@ -41,14 +41,6 @@ FTR_YIELD void charge(double seconds) {
 
 double now() { return self().vclock; }
 
-std::vector<int> live_ranks(const Group& g) {
-  std::vector<int> out;
-  for (int r = 0; r < g.size(); ++r) {
-    if (!rt().is_dead(g.pids[static_cast<size_t>(r)])) out.push_back(r);
-  }
-  return out;
-}
-
 std::shared_ptr<const MemberSnapshot> member_snapshot(CommContext& ctx, std::uint64_t fepoch,
                                                       std::uint64_t mepoch, bool rescan) {
   std::lock_guard<std::mutex> lock(ctx.snapshot_mu);
@@ -126,12 +118,9 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
   const bool det = detector::enabled(ps);
   const std::atomic<std::uint64_t>* membership = &ps.rt->membership_epoch();
   std::unique_lock<std::mutex> lock(ps.mu);
-  const ParkedScope parked(
-      ps,
-      spec.watch.empty()       ? kNullProc
-      : spec.watch.size() == 1 ? spec.watch.front()->pid
-                               : ProcessState::kManyPeers,
-      spec.interrupt == membership || spec.interrupt2 == membership);
+  ParkedScope parked(ps, spec.watch.size() == 1 ? spec.watch.front() : nullptr,
+                     spec.watch.size() > 1 || spec.interrupt == membership ||
+                         spec.interrupt2 == membership);
   for (;;) {
     if (ps.dead.load()) throw ProcessKilled{ps.pid};
     if (det && ps.det_pending.load(std::memory_order_relaxed) > 0) {
@@ -184,6 +173,7 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
         return kErrProcFailed;
       }
     }
+    if (parked.watch_exits()) continue;
     FTR_DLSAN_BLOCK(spec.op, spec.dbg_ctx, spec.dbg_tag, spec.watch,
                     spec.revoke_ctx, det, spec.interrupt, spec.interrupt_expect,
                     spec.interrupt2, spec.interrupt2_expect);

@@ -30,6 +30,7 @@
 #endif
 #endif
 #ifdef FTR_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #ifdef FTR_FIBER_TSAN
@@ -112,11 +113,78 @@ void switch_to_worker(Fiber& f, Worker::Handoff handoff, std::mutex* release) {
 
 }  // namespace
 
+Fiber::Fiber() {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  map_bytes = kStackBytes + page;
+  map = mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (map == MAP_FAILED) {
+    map = nullptr;
+    throw std::system_error(errno, std::generic_category(), "ftmpi: fiber stack");
+  }
+  // The stack grows down onto the guard page, so an overflow faults.
+  if (mprotect(map, page, PROT_NONE) != 0) {
+    const int err = errno;
+    munmap(map, map_bytes);
+    map = nullptr;
+    throw std::system_error(err, std::generic_category(), "ftmpi: fiber guard page");
+  }
+  ctx.uc_stack.ss_sp = static_cast<char*>(map) + page;
+  ctx.uc_stack.ss_size = kStackBytes;
+}
+
 Fiber::~Fiber() {
   if (map != nullptr) munmap(map, map_bytes);
 #ifdef FTR_FIBER_TSAN
   if (tsan_fiber != nullptr) __tsan_destroy_fiber(tsan_fiber);
 #endif
+}
+
+FiberPool& FiberPool::shared() {
+  // Never destroyed, so that a Runtime ended during static destruction
+  // still finds it; the process's exit unmaps the stacks.
+  static auto* pool = new FiberPool;
+  return *pool;
+}
+
+std::unique_ptr<Fiber> FiberPool::take() {
+  std::unique_ptr<Fiber> f;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!free_.empty()) {
+      f = std::move(free_.back());
+      free_.pop_back();
+    }
+  }
+  if (!f) return std::make_unique<Fiber>();
+  // The previous owner's frames are dead: clear what the sanitizers still
+  // hold of them (its last frames' redzones, its TSan fiber).
+#ifdef FTR_FIBER_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(f->ctx.uc_stack.ss_sp, f->ctx.uc_stack.ss_size);
+#endif
+#ifdef FTR_FIBER_TSAN
+  __tsan_destroy_fiber(f->tsan_fiber);
+  f->tsan_fiber = nullptr;
+#endif
+  return f;
+}
+
+void FiberPool::put(std::unique_ptr<Fiber> f) {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_.push_back(std::move(f));
+}
+
+void WaitList::add(ProcessState& ps) {
+  ps.wait_slot = waits_.size();
+  waits_.push_back(&ps);
+}
+
+void WaitList::remove(ProcessState& ps) {
+  // Move the last wait into ps's slot.
+  ProcessState* last = waits_.back();
+  waits_[ps.wait_slot] = last;
+  last->wait_slot = ps.wait_slot;
+  waits_.pop_back();
 }
 
 ProcessState* Runtime::current() { return tls_proc; }
@@ -156,14 +224,9 @@ Runtime::~Runtime() {
 }
 
 ProcessState& Runtime::ProcessTable::append(std::unique_ptr<ProcessState> ps) {
-  const std::size_t n = size_.load(std::memory_order_relaxed);
-  const std::size_t chunk = n >> kChunkBits;
-  if (chunk >= kMaxChunks) throw std::length_error("ftmpi: process table full");
-  if (!chunks_[chunk]) chunks_[chunk] = std::make_unique<Chunk>();
-  ps->pid = static_cast<ProcId>(n);
+  ps->pid = static_cast<ProcId>(slots_.size());
   ProcessState& out = *ps;
-  (*chunks_[chunk])[n & (kChunkSize - 1)] = std::move(ps);
-  size_.store(n + 1, std::memory_order_release);
+  slots_.append(std::move(ps));
   return out;
 }
 
@@ -294,28 +357,18 @@ void Runtime::release_unstarted(ProcId pid) {
   if (ps.started.load() || ps.finished.load()) return;
   ps.dead.store(true);
   ps.finished.store(true);
+  failures_.append(pid);
   hosts_[static_cast<size_t>(ps.host)][static_cast<size_t>(ps.slot)] = false;
   FTR_DLSAN_PROC_RELEASED(this, pid);
 }
 
 void Runtime::start_process(ProcId pid) {
   ProcessState* ps = &proc(pid);
-  auto f = std::make_unique<Fiber>();
-  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  f->map_bytes = kStackBytes + page;
-  f->map = mmap(nullptr, f->map_bytes, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-  if (f->map == MAP_FAILED) {
-    f->map = nullptr;
-    throw std::system_error(errno, std::generic_category(), "ftmpi: fiber stack");
-  }
-  // The stack grows down onto the guard page, so an overflow faults.
-  if (mprotect(f->map, page, PROT_NONE) != 0) {
-    throw std::system_error(errno, std::generic_category(), "ftmpi: fiber guard page");
-  }
+  std::unique_ptr<Fiber> f = FiberPool::shared().take();
+  // getcontext and makecontext keep the stack the fiber was given.
+  const stack_t stack = f->ctx.uc_stack;
   getcontext(&f->ctx);
-  f->ctx.uc_stack.ss_sp = static_cast<char*>(f->map) + page;
-  f->ctx.uc_stack.ss_size = kStackBytes;
+  f->ctx.uc_stack = stack;
   f->ctx.uc_link = nullptr;
   makecontext(&f->ctx, &Runtime::fiber_entry, 0);
 #ifdef FTR_FIBER_TSAN
@@ -327,6 +380,7 @@ void Runtime::start_process(ProcId pid) {
     ++active_;
   }
   ps->started.store(true);
+  roster_version_.fetch_add(1);
   // The creator's clock (or the driver clock) is what the new rank starts
   // from: spawn is a happens-before edge.
   FTR_VTSAN_SPAWN(this, pid);
@@ -366,17 +420,10 @@ void Runtime::fiber_main(ProcessState* ps) {
   }
   ps->finished.store(true);
   membership_epoch_.fetch_add(1);
+  roster_version_.fetch_add(1);
   // Peers blocked on this process must re-evaluate their wait predicates.
   FTR_DLSAN_THREAD_EXIT();
-  notify_exit(ps->pid);
-  bool last = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    last = --active_ == 0;
-  }
-  // Only the last exit can end run()'s wait, and it comes after every
-  // exit's wake-ups.
-  if (last) done_cv_.notify_all();
+  notify_exit(*ps);
 }
 
 void Runtime::worker_main() {
@@ -449,9 +496,20 @@ void Runtime::run_slice(Worker& w, ProcessState& ps) {
     case Worker::Handoff::kYield:
       make_ready(&ps);
       break;
-    case Worker::Handoff::kExit:
-      ps.fiber.reset();
+    case Worker::Handoff::kExit: {
+      // Off its stack at last: pool the fiber, then count the exit, so that
+      // run() and the destructor return only once every stack is pooled.
+      FiberPool::shared().put(std::move(ps.fiber));
+      bool last = false;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        last = --active_ == 0;
+      }
+      // Only the last exit can end run()'s wait, and it comes after every
+      // exit's wake-ups.
+      if (last) done_cv_.notify_all();
       break;
+    }
   }
 }
 
@@ -559,7 +617,11 @@ void Runtime::kill(ProcId pid) {
 
 bool Runtime::mark_dead_locked(ProcessState& ps) {
   if (ps.dead.load() || ps.finished.load()) return false;
+  // Counted before the victim can see it is dead: it may unwind and exit at
+  // once, and run() must count the kill when the last exit ends its wait.
+  killed_.fetch_add(1);
   ps.dead.store(true);
+  failures_.append(ps.pid);
   // Free the host slot so repair can re-spawn on the same node, which is
   // exactly the paper's load-balancing strategy.
   hosts_[static_cast<size_t>(ps.host)][static_cast<size_t>(ps.slot)] = false;
@@ -567,7 +629,6 @@ bool Runtime::mark_dead_locked(ProcessState& ps) {
 }
 
 void Runtime::announce_kill(const ProcessState& ps) {
-  killed_.fetch_add(1);
   failure_epoch_.fetch_add(1);
   membership_epoch_.fetch_add(1);
   // Stamped with the killer's clock: the victim's vclock belongs to its own
@@ -584,11 +645,21 @@ bool Runtime::is_dead(ProcId pid) const {
   return ps == nullptr || ps->dead.load();
 }
 
-std::vector<ProcId> Runtime::dead_members(const Group& g) const {
-  std::vector<ProcId> out;
-  for (ProcId p : g.pids) {
-    if (is_dead(p)) out.push_back(p);
+std::vector<int> Runtime::dead_ranks(const CommContext& ctx) const {
+  std::vector<int> out;
+  const std::size_t n = failures_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const int r = ctx.agreement_rank(failures_[i]);
+    if (r >= 0) out.push_back(r);
   }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<ProcId> Runtime::dead_members(const CommContext& ctx) const {
+  const Group& g = ctx.agreement_group();
+  std::vector<ProcId> out;
+  for (int r : dead_ranks(ctx)) out.push_back(g.pids[static_cast<size_t>(r)]);
   return out;
 }
 
@@ -596,9 +667,13 @@ int Runtime::host_of(ProcId pid) const { return proc(pid).host; }
 
 int Runtime::total_processes() const { return static_cast<int>(procs_.size()); }
 
-std::vector<ProcId> Runtime::active_pids() const {
-  std::vector<ProcId> out;
-  out.reserve(procs_.size());
+std::shared_ptr<const std::vector<ProcId>> Runtime::roster() const {
+  // Any start or exit after this load bumps the version past it, so the
+  // next caller rebuilds; a roster built at a later version is fresher.
+  const std::uint64_t version = roster_version_.load();
+  std::lock_guard<std::mutex> lock(roster_mu_);
+  if (roster_ && roster_built_ >= version) return roster_;
+  auto pids = std::make_shared<std::vector<ProcId>>();
   procs_.for_each([&](const ProcessState& ps) {
     // A process leaves the RTE-visible membership only by *deregistering
     // cleanly* (finishing without having been killed).  A crashed process
@@ -606,10 +681,12 @@ std::vector<ProcId> Runtime::active_pids() const {
     // detector's timeout observes; it leaves each rank's ring view only
     // when that rank learns of the death (known_failed).
     if (ps.started.load() && (ps.dead.load() || !ps.finished.load())) {
-      out.push_back(ps.pid);
+      pids->push_back(ps.pid);
     }
   });
-  return out;
+  roster_ = std::move(pids);
+  roster_built_ = version;
+  return roster_;
 }
 
 std::shared_ptr<CommContext> Runtime::create_context(Group local, Group remote, bool inter) {
@@ -622,6 +699,7 @@ std::shared_ptr<CommContext> Runtime::create_context(Group local, Group remote, 
   }
   ctx->group[0] = std::move(local);
   ctx->group[1] = std::move(remote);
+  ctx->index_members();
   std::lock_guard<std::mutex> lock(ctx_mu_);
   ctx->id = next_ctx_++;
   contexts_[ctx->id] = ctx;
@@ -654,14 +732,12 @@ void Runtime::deliver(ProcId dst, Message msg) {
   wake_locked(*ps);
 }
 
-template <class Filter>
-void Runtime::wake_parked(Filter&& wakes) {
+void Runtime::notify_all_procs() {
   procs_.for_each([&](ProcessState& ps) {
     // The caller published its state change before this load, and a waiter
     // publishes `parked` before its first predicate check (both seq_cst):
     // a waiter read here as not parked will see the change when it checks.
-    const int parked = ps.parked.load();
-    if (parked == 0 || !wakes(ps, parked)) return;
+    if (ps.parked.load() == 0) return;
     // Taking the waiter's lock orders this wake-up after its predicate
     // check: the waiter either has not checked yet, and will see the new
     // state, or is asleep and is queued here.
@@ -671,16 +747,48 @@ void Runtime::wake_parked(Filter&& wakes) {
   });
 }
 
-void Runtime::notify_all_procs() {
-  wake_parked([](const ProcessState&, int) { return true; });
+Runtime::ExitWatch Runtime::watch_exits(ProcessState& waiter, ProcessState* peer,
+                                        bool any_exit) {
+  ExitWatch w;
+  if (any_exit) {
+    w = {&any_exit_mu_, &any_exit_waits_};
+  } else if (peer != nullptr) {
+    w = {&peer->exit_mu, &peer->exit_waiters};
+  } else {
+    return w;  // no exit can end this wait
+  }
+  std::lock_guard<std::mutex> lock(*w.mu);
+  w.list->add(waiter);
+  return w;
 }
 
-void Runtime::notify_exit(ProcId pid) {
-  wake_parked([pid](const ProcessState& ps, int parked) {
-    if ((parked & ProcessState::kParkedOnMembership) != 0) return true;
-    const ProcId peer = ps.parked_peer.load();
-    return peer == pid || peer == ProcessState::kManyPeers;
-  });
+void Runtime::unwatch_exits(ProcessState& waiter, const ExitWatch& w) {
+  if (w.list == nullptr) return;
+  std::lock_guard<std::mutex> lock(*w.mu);
+  w.list->remove(waiter);
+}
+
+void Runtime::notify_exit(ProcessState& ps) {
+  // The exit (finished, the membership epoch) is published before the
+  // lists are read, and a wait registers before its last predicate check,
+  // both under the list's mutex: a wait missing here was registered after
+  // this read, so its check sees the exit.  The waits are copied out, as
+  // a waiter takes the list's mutex under its own mu.
+  std::vector<ProcessState*> woken;
+  {
+    std::lock_guard<std::mutex> lock(ps.exit_mu);
+    woken = ps.exit_waiters.waits();
+  }
+  {
+    std::lock_guard<std::mutex> lock(any_exit_mu_);
+    const std::vector<ProcessState*>& any = any_exit_waits_.waits();
+    woken.insert(woken.end(), any.begin(), any.end());
+  }
+  for (ProcessState* w : woken) {
+    std::lock_guard<std::mutex> lock(w->mu);
+    FTR_DLSAN_WAKE(this, w->pid);
+    wake_locked(*w);
+  }
 }
 
 Runtime::Stats Runtime::stats() const {

@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,10 +67,11 @@ struct Worker;
 
 /// A process's execution context: its guard-paged stack (mapped lazily, so
 /// only the pages it touches are committed) and, while it is switched out,
-/// its saved registers.  The scheduler owns it; the stack is unmapped when
-/// the process exits.
+/// its saved registers.  The scheduler owns it; when the process exits, the
+/// fiber goes to the FiberPool for the next process to start.
 struct Fiber {
-  Fiber() = default;
+  /// Map a fresh stack below its guard page.
+  Fiber();
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
   ~Fiber();
@@ -85,6 +87,38 @@ struct Fiber {
   unsigned eh_uncaught = 0;
   void* asan_fake_stack = nullptr;
   void* tsan_fiber = nullptr;
+};
+
+/// Fibers of exited processes, each handed to the next process to start,
+/// so that no stack is mapped or unmapped while ranks come and go.  A
+/// pooled fiber keeps its mapping, guard page included.  One pool serves
+/// every Runtime in the process: a program that builds a Runtime per run
+/// maps its stacks once, not once per run.
+class FiberPool {
+ public:
+  [[nodiscard]] static FiberPool& shared();
+  /// A pooled fiber, or a freshly mapped one when the pool is empty.
+  [[nodiscard]] std::unique_ptr<Fiber> take();
+  void put(std::unique_ptr<Fiber> f);
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Fiber>> free_;  ///< guarded by mu_
+};
+
+struct ProcessState;
+
+/// The parked waits that one kind of event can end, each registered and
+/// removed in O(1): a registered rank remembers its slot
+/// (ProcessState::wait_slot).  The owner's mutex guards it.
+class WaitList {
+ public:
+  void add(ProcessState& ps);
+  void remove(ProcessState& ps);
+  [[nodiscard]] const std::vector<ProcessState*>& waits() const { return waits_; }
+
+ private:
+  std::vector<ProcessState*> waits_;
 };
 
 /// Per-process runtime state.  The owning fiber is the only writer of
@@ -118,16 +152,17 @@ struct ProcessState {
   /// Failure-detector state; touched only by the owning rank.
   detector::State det;
 
-  /// While this rank runs a blocking wait loop (detail::ParkedScope):
-  /// kParked, plus kParkedOnMembership when a membership-epoch change
-  /// interrupts the wait; 0 outside any wait.  Notifiers skip ranks at 0.
-  static constexpr int kParked = 1;
-  static constexpr int kParkedOnMembership = 2;
+  /// Nonzero while this rank runs a blocking wait loop
+  /// (detail::ParkedScope); notify_all_procs() skips ranks at 0.
   std::atomic<int> parked{0};
-  /// The one peer whose exit can end the parked wait (kNullProc for none,
-  /// kManyPeers when the wait watches several).  Stored before `parked`.
-  static constexpr ProcId kManyPeers = -2;
-  std::atomic<ProcId> parked_peer{kNullProc};
+  /// The parked waits that this process's exit can end: receives and
+  /// probes that name it as their one sender.  Guarded by exit_mu, a leaf
+  /// lock (a waiter takes it under its own mu).
+  std::mutex exit_mu;
+  WaitList exit_waiters;
+  /// This rank's slot in the WaitList its own parked wait is registered in
+  /// (a rank waits on one thing at a time).  Guarded by that list's mutex.
+  std::size_t wait_slot = 0;
 
   std::uint64_t world_ctx = 0;   ///< context id of this process's COMM_WORLD
   std::uint64_t parent_ctx = 0;  ///< intercommunicator to the spawner (0 = none)
@@ -188,11 +223,15 @@ class Runtime {
   void fail_host(int host);
   [[nodiscard]] bool host_failed(int host) const;
 
-  // Pid lookups (proc, is_dead, host_of, dead_members, active_pids,
-  // total_processes) take no lock: see ProcessTable.
+  // Pid lookups (proc, is_dead, host_of, total_processes) and the failure
+  // log (dead_ranks, dead_members) take no lock: see PublishedTable.
   /// True for a dead process and for a pid that was never created.
   [[nodiscard]] bool is_dead(ProcId pid) const;
-  [[nodiscard]] std::vector<ProcId> dead_members(const Group& g) const;
+  /// Ranks in ctx's agreement group of its dead members, ascending: read
+  /// from the failure log in O(failures), one rank lookup each.
+  [[nodiscard]] std::vector<int> dead_ranks(const CommContext& ctx) const;
+  /// The pids of those members, in rank order.
+  [[nodiscard]] std::vector<ProcId> dead_members(const CommContext& ctx) const;
 
   [[nodiscard]] int host_of(ProcId pid) const;
   [[nodiscard]] int slots_per_host() const { return opt_.slots_per_host; }
@@ -202,7 +241,9 @@ class Runtime {
   /// order — the RTE-visible membership the detector ring is built over.
   /// Killed processes stay listed (a crash never deregisters; the ring
   /// timeout is what detects it); normally finished processes drop out.
-  [[nodiscard]] std::vector<ProcId> active_pids() const;
+  /// One roster is shared by every caller and rebuilt, by the first call
+  /// after it, at most once per start or exit.
+  [[nodiscard]] std::shared_ptr<const std::vector<ProcId>> roster() const;
   /// Monotonic counter bumped by every kill, after the victim is marked
   /// dead.  The tree allreduce watches it to learn of deaths mid-protocol.
   [[nodiscard]] const std::atomic<std::uint64_t>& failure_epoch() const {
@@ -279,6 +320,18 @@ class Runtime {
   /// ProcessState::mu.
   void notify_all_procs();
 
+  /// Where a parked wait is registered for the exits that can end it.
+  struct ExitWatch {
+    std::mutex* mu = nullptr;  ///< guards `list`
+    WaitList* list = nullptr;
+  };
+  /// Register `waiter`'s parked wait for `peer`'s exit, or for every exit
+  /// with `any_exit` (a wait that watches several peers, or one that the
+  /// membership epoch interrupts).  The caller holds waiter.mu and checks
+  /// its predicates once more before it parks.
+  ExitWatch watch_exits(ProcessState& waiter, ProcessState* peer, bool any_exit);
+  static void unwatch_exits(ProcessState& waiter, const ExitWatch& w);
+
   // --- the fiber scheduler ---------------------------------------------------
   /// Park the calling rank until a delivery or a notify wakes it.  `lock`
   /// holds the caller's ProcessState::mu, under which it checked its wait
@@ -309,18 +362,46 @@ class Runtime {
   [[gnu::noinline]] static ProcessState* current();
 
  private:
-  /// Append-only pid -> process table whose slots never move: 1024-slot
-  /// chunks hang off a fixed directory.  append() fills the next slot and
-  /// publishes it with a release store of the size; readers load the size
-  /// with acquire and touch only the slots below it, so lookups need no
-  /// lock.  Appends are serialised by the caller (Runtime::mu_).
-  class ProcessTable {
+  /// Append-only table whose slots never move: 1024-slot chunks hang off a
+  /// fixed directory.  append() fills the next slot and publishes it with
+  /// a release store of the size; readers load the size with acquire and
+  /// touch only the slots below it, so reads need no lock.  Appends are
+  /// serialised by the caller (Runtime::mu_).
+  template <class T>
+  class PublishedTable {
    public:
     [[nodiscard]] std::size_t size() const { return size_.load(std::memory_order_acquire); }
+    /// Slot i, for an i below a size() the caller loaded.
+    [[nodiscard]] const T& operator[](std::size_t i) const {
+      return (*chunks_[i >> kChunkBits])[i & (kChunkSize - 1)];
+    }
+    /// Fill the next slot and publish it.
+    void append(T v) {
+      const std::size_t n = size_.load(std::memory_order_relaxed);
+      const std::size_t chunk = n >> kChunkBits;
+      if (chunk >= kMaxChunks) throw std::length_error("ftmpi: runtime table full");
+      if (!chunks_[chunk]) chunks_[chunk] = std::make_unique<Chunk>();
+      (*chunks_[chunk])[n & (kChunkSize - 1)] = std::move(v);
+      size_.store(n + 1, std::memory_order_release);
+    }
+
+   private:
+    static constexpr std::size_t kChunkBits = 10;
+    static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
+    static constexpr std::size_t kMaxChunks = 1024;
+    using Chunk = std::array<T, kChunkSize>;
+    std::array<std::unique_ptr<Chunk>, kMaxChunks> chunks_;
+    std::atomic<std::size_t> size_{0};
+  };
+
+  /// The pid -> process table: slot i holds pid i.
+  class ProcessTable {
+   public:
+    [[nodiscard]] std::size_t size() const { return slots_.size(); }
     /// nullptr for a pid that was never appended.
     [[nodiscard]] ProcessState* find(ProcId pid) const {
       if (pid < 0 || static_cast<std::size_t>(pid) >= size()) return nullptr;
-      return at(static_cast<std::size_t>(pid));
+      return slots_[static_cast<std::size_t>(pid)].get();
     }
     /// Like find(), but throws std::out_of_range for an unknown pid.
     [[nodiscard]] ProcessState& get(ProcId pid) const;
@@ -330,19 +411,11 @@ class Runtime {
     template <class F>
     void for_each(F&& f) const {
       const std::size_t n = size();
-      for (std::size_t i = 0; i < n; ++i) f(*at(i));
+      for (std::size_t i = 0; i < n; ++i) f(*slots_[i]);
     }
 
    private:
-    static constexpr std::size_t kChunkBits = 10;
-    static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
-    static constexpr std::size_t kMaxChunks = 1024;
-    using Chunk = std::array<std::unique_ptr<ProcessState>, kChunkSize>;
-    [[nodiscard]] ProcessState* at(std::size_t i) const {
-      return (*chunks_[i >> kChunkBits])[i & (kChunkSize - 1)].get();
-    }
-    std::array<std::unique_ptr<Chunk>, kMaxChunks> chunks_;
-    std::atomic<std::size_t> size_{0};
+    PublishedTable<std::unique_ptr<ProcessState>> slots_;
   };
 
   static void fiber_entry();
@@ -351,24 +424,21 @@ class Runtime {
   void fiber_main(ProcessState* ps);
   void worker_main();
   /// Switch into `ps` on worker `w` and carry out what it asked for when it
-  /// switched back (release its lock, requeue it, or free its stack).
+  /// switched back (release its lock, requeue it, or pool its fiber).
   void run_slice(Worker& w, ProcessState& ps);
   /// Put a runnable rank at the back of the ready queue.
   void make_ready(ProcessState* ps);
   /// Queue `ps` if it is asleep.  ps.mu held.
   void wake_locked(ProcessState& ps);
-  /// Wake the parked processes for which wakes(ps, parked) holds.
-  template <class Filter>
-  void wake_parked(Filter&& wakes);
-  /// Wake the waits `pid`'s exit can change: those watching it and those
-  /// interrupted by the membership epoch.
-  void notify_exit(ProcId pid);
+  /// Wake the waits registered for ps's exit: those watching it, those
+  /// watching several peers and those interrupted by the membership epoch.
+  void notify_exit(ProcessState& ps);
   /// Find/extend a host with a free slot; returns {host, slot}.  mu_ held.
   std::pair<int, int> allocate_slot_locked(int preferred_host);
-  /// Mark ps dead and free its host slot; false if it already died or
-  /// finished.  mu_ held.
+  /// Count ps as killed, mark it dead, log it and free its host slot; false
+  /// if it already died or finished.  mu_ held.
   bool mark_dead_locked(ProcessState& ps);
-  /// The unlocked half of a kill: counters, trace record, wake-ups.
+  /// The unlocked half of a kill: epochs, trace record, wake-ups.
   void announce_kill(const ProcessState& ps);
   void dump_state() const;
 
@@ -388,6 +458,19 @@ class Runtime {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
   ProcessTable procs_;
+  /// Every pid that died (kill, fail_host, spawn rollback), in the order it
+  /// was marked dead; appended under mu_ before the kill's epoch bumps.
+  PublishedTable<ProcId> failures_;
+  /// Parked waits that any exit can end (watch_exits with any_exit).
+  /// Guarded by any_exit_mu_, a leaf lock.
+  std::mutex any_exit_mu_;
+  WaitList any_exit_waits_;
+  /// roster(): bumped after every start and exit; the cached roster and the
+  /// version it was built at are guarded by roster_mu_.
+  std::atomic<std::uint64_t> roster_version_{0};
+  mutable std::mutex roster_mu_;
+  mutable std::shared_ptr<const std::vector<ProcId>> roster_;
+  mutable std::uint64_t roster_built_ = 0;
   std::vector<std::vector<bool>> hosts_;  // hosts_[h][s] = slot occupied
   std::vector<bool> host_failed_;         // failed nodes: slots unusable
   std::map<int, int> host_substitute_;    // failed host -> its spare replacement

@@ -47,12 +47,12 @@ int comm_revoke(const Comm& c) {
 int comm_failure_ack(const Comm& c) {
   detail::check_alive();
   if (c.is_null()) return kErrComm;
+  // The local group's dead members, in rank order: the agreement group
+  // lists each side's members in their rank order.
+  const CommContext& ctx = *c.context();
   Group failed;
-  const Group& g = c.group();
-  for (int r = 0; r < g.size(); ++r) {
-    if (detail::rt().is_dead(g.pids[static_cast<size_t>(r)])) {
-      failed.pids.push_back(g.pids[static_cast<size_t>(r)]);
-    }
+  for (ProcId p : detail::rt().dead_members(ctx)) {
+    if (ctx.rank_of(c.side(), p) >= 0) failed.pids.push_back(p);
   }
   c.local().acked = std::move(failed);
   return kSuccess;
@@ -317,7 +317,7 @@ int agree_tree(const Comm& c, int* flag) {
       }
       int agreed = ~0;
       for (const TreeAgreeEntry& e : entries) agreed &= e.flag;
-      const std::vector<ProcId> dead = rt.dead_members(g);
+      const std::vector<ProcId> dead = rt.dead_members(*ctx);
 #ifdef FTR_PSAN
       // Every contributor is still blocked on the verdict, so its stream
       // cannot advance under us.
@@ -389,18 +389,29 @@ int comm_shrink(const Comm& c, Comm* out) {
   const ProcessState& me = detail::self();
 
   for (int attempt = 0; attempt <= g.size(); ++attempt) {
-    const std::vector<int> live = detail::live_ranks(g);
-    if (live.empty()) return kErrComm;
-    const ProcId coord = g.pids[static_cast<size_t>(live[0])];
+    // The coordinator is the first rank not in the failure log.  Survivors
+    // need no more than that, so they hold only the dead ranks while they
+    // wait for the coordinator's reply.
+    const std::vector<int> dead = detail::rt().dead_ranks(*c.context());
+    int first = 0;
+    for (int r : dead) {
+      if (r != first) break;
+      ++first;
+    }
+    if (first == g.size()) return kErrComm;
+    const ProcId coord = g.pids[static_cast<size_t>(first)];
 
     if (coord == me.pid) {
       // Collect a hello from every other survivor; members that die while we
       // collect are simply excluded from the shrunken group.
-      std::vector<int> confirmed{live[0]};
-      for (size_t i = 1; i < live.size(); ++i) {
-        const ProcId p = g.pids[static_cast<size_t>(live[i])];
+      std::vector<int> confirmed{first};
+      auto next_dead = dead.begin();
+      for (int r = first + 1; r < g.size(); ++r) {
+        while (next_dead != dead.end() && *next_dead < r) ++next_dead;
+        if (next_dead != dead.end() && *next_dead == r) continue;
+        const ProcId p = g.pids[static_cast<size_t>(r)];
         if (detail::ctrl_recv(p, id, tags::kShrinkUp, nullptr) == kSuccess) {
-          confirmed.push_back(live[i]);
+          confirmed.push_back(r);
         }
       }
       // Model the draft-ULFM consensus chatter: extra rounds per failure.

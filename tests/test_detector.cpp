@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -97,6 +99,62 @@ void rendezvous(std::atomic<int>& arrived, int expected) {
 // number of virtual-clock ticks — via ring timeout at the victim's
 // neighbour and O(log N) gossip from there, never by touching the dead
 // process itself.
+// The ring a rank heartbeats over is read from the shared roster without
+// a copy.  Its members, positions and neighbours must be those of the
+// roster filtered through known_failed (the copy every tick used to make),
+// over random rosters and known sets: self first, last, anywhere, not a
+// member, known failed itself, and alone because every other member is
+// known failed.  Known sets also hold pids the roster no longer lists.
+TEST(Detector, RingViewMatchesTheFilteredRoster) {
+  std::mt19937 rng(57000);
+  const auto check = [](const std::vector<ProcId>& roster, const std::set<ProcId>& known) {
+    std::vector<ProcId> ring;
+    for (ProcId p : roster) {
+      if (known.count(p) == 0) ring.push_back(p);
+    }
+    const detector::RingView view(roster, known);
+    ASSERT_EQ(view.size(), ring.size());
+    for (std::size_t i = 0; i < ring.size(); ++i) ASSERT_EQ(view.at(i), ring[i]);
+    std::vector<ProcId> selves = roster;
+    selves.push_back(roster.empty() ? 0 : roster.back() + 1);  // not a member
+    for (ProcId self : selves) {
+      const auto it = std::lower_bound(ring.begin(), ring.end(), self);
+      const bool member = it != ring.end() && *it == self;
+      ASSERT_EQ(view.index_of(self), member ? static_cast<int>(it - ring.begin()) : -1);
+      const detector::RingView::Neighbours nb = view.neighbours(self);
+      if (!member || ring.size() < 2) {
+        ASSERT_EQ(nb.pred, kNullProc);
+        ASSERT_EQ(nb.succ, kNullProc);
+        continue;
+      }
+      const auto mi = static_cast<std::size_t>(it - ring.begin());
+      ASSERT_EQ(nb.succ, ring[(mi + 1) % ring.size()]) << "self " << self;
+      ASSERT_EQ(nb.pred, ring[(mi + ring.size() - 1) % ring.size()]) << "self " << self;
+    }
+  };
+  // Every other member known failed: self is alone in its ring.
+  check({3, 4, 9}, {3, 9});
+  check({3, 4, 9}, {3, 4, 9, 12});
+  check({3, 4, 9}, {});
+  check({5}, {});
+  check({}, {1});
+  for (int trial = 0; trial < 500; ++trial) {
+    const int span = std::uniform_int_distribution<int>(1, 300)(rng);
+    std::vector<ProcId> roster;
+    std::set<ProcId> known;
+    const double in_roster = std::uniform_real_distribution<double>(0.1, 1.0)(rng);
+    const double failed = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+    std::bernoulli_distribution coin_in(in_roster);
+    std::bernoulli_distribution coin_failed(failed);
+    for (ProcId p = 0; p < span; ++p) {
+      const bool listed = coin_in(rng);
+      if (listed) roster.push_back(p);
+      if (coin_failed(rng)) known.insert(p);
+    }
+    check(roster, known);
+  }
+}
+
 TEST(Detector, IdleRankLearnsRemoteDeathWithinBoundedTicks) {
   constexpr int kWorld = 6;
   constexpr int kVictim = 3;

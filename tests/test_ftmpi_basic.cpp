@@ -460,3 +460,27 @@ TEST(FtmpiBasicDeathTest, StackOverflowFaultsOnTheGuardPage) {
       },
       "");
 }
+
+// A stack keeps its guard page when it is pooled: a spawned child that
+// starts on a stack an exited rank left behind still faults on overflow.
+// The first run pools two stacks, so the second run's rank and its child
+// both start on pooled ones.
+TEST(FtmpiBasicDeathTest, ChildOnAPooledStackFaultsOnTheGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Runtime rt(small_opts());
+        rt.register_app("main", [](const std::vector<std::string>& argv) {
+          if (!argv.empty() && argv[0] == "child") (void)deep(256);
+        });
+        rt.run("main", 2);
+        rt.register_app("parent", [](const std::vector<std::string>&) {
+          Comm inter;
+          if (comm_spawn_multiple({{"main", {"child"}, 1, -1}}, 0, world(), &inter) == kSuccess) {
+            (void)comm_free(&inter);
+          }
+        });
+        rt.run("parent", 1);
+      },
+      "");
+}

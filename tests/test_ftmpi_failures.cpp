@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ftmpi/api.hpp"
+#include "ftmpi/detail.hpp"
 #include "ftmpi/runtime.hpp"
 #include "race_runs.hpp"
 
@@ -327,6 +328,132 @@ TEST(FtmpiFailures, ParkedRecvWokenByRevoke) {
     rt.run("main", 2);
     ASSERT_EQ(code.load(), kErrRevoked) << "run " << run;
   }
+}
+
+// Fourth: the exit of the last live peer a wait on several peers watches.
+// Rank 0 waits for a message from rank 1 or 2, and both exit without
+// sending once it is parked.  Across those exits rank 3 stays parked in a
+// receive from rank 4, which sends only after rank 0's wait has returned.
+TEST(FtmpiFailures, ParkedRecvWokenByExitOfTheLastOfSeveralPeers) {
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 5.0;
+  for (int run = 0; run < ftr_test::kRaceRuns; ++run) {
+    Runtime rt(opt);
+    std::atomic<int> code{-1};
+    std::atomic<int> answer{-1};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      const std::vector<ProcId>& pids = w.group().pids;
+      const std::uint64_t ctx = w.context()->id;
+      int v = 0;
+      if (w.rank() == 0) {
+        code = detail::ctrl_recv_any({pids[1], pids[2]}, ctx, tags::kShrinkUp, nullptr, nullptr);
+      } else if (w.rank() <= 2) {
+        const ProcessState& waiter = runtime().proc(pids[0]);
+        while (waiter.parked.load() == 0) ftmpi::yield();
+      } else if (w.rank() == 3) {
+        ASSERT_EQ(recv(&v, 1, 4, 0, w), kSuccess);
+        answer = v;
+      } else {
+        while (code.load() < 0) ftmpi::yield();
+        v = 7;
+        ASSERT_EQ(send(&v, 1, 3, 0, w), kSuccess);
+      }
+    });
+    rt.run("main", 5);
+    ASSERT_EQ(code.load(), kErrProcFailed) << "run " << run;
+    ASSERT_EQ(answer.load(), 7) << "run " << run;
+  }
+}
+
+// Fifth: an exit that a wait watching the membership epoch must see, as
+// the tree agreement's waits do.  Rank 0 waits on rank 1, which stays
+// alive and silent until the wait has returned; only rank 2's exit, from
+// outside the wait, can end it.
+TEST(FtmpiFailures, ParkedRecvWokenByExitThroughTheMembershipEpoch) {
+  Runtime::Options opt = small_opts();
+  opt.real_time_limit_sec = 5.0;
+  for (int run = 0; run < ftr_test::kRaceRuns; ++run) {
+    Runtime rt(opt);
+    std::atomic<int> code{-1};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      const std::vector<ProcId>& pids = w.group().pids;
+      if (w.rank() == 0) {
+        detail::RecvOpts opts;
+        opts.interrupt2 = &runtime().membership_epoch();
+        opts.interrupt2_expect = opts.interrupt2->load();
+        code = detail::ctrl_recv(pids[1], w.context()->id, tags::kAgreeTreeUp, nullptr, opts);
+      } else if (w.rank() == 1) {
+        while (code.load() < 0) ftmpi::yield();
+      } else {
+        const ProcessState& waiter = runtime().proc(pids[0]);
+        while (waiter.parked.load() == 0) ftmpi::yield();
+      }
+    });
+    rt.run("main", 3);
+    ASSERT_EQ(code.load(), kErrPending) << "run " << run;
+  }
+}
+
+// The dead members a failure ack and the agreement root report come from
+// the runtime's failure log, whatever order the deaths were logged in: a
+// kill, a host failure, and a spawn rollback's released children (which
+// belong to no communicator of the world until a group names them).
+TEST(FtmpiFailures, FailureAckAndDeadMembersListTheLoggedDeadInRankOrder) {
+  Runtime::Options opt = small_opts();  // four slots per host
+  opt.max_hosts = 4;                    // the world fills three
+  Runtime rt(opt);
+  std::atomic<int> checked{0};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    Comm mine;
+    ASSERT_EQ(comm_split(w, w.rank() == 0 ? 0 : 1, 0, &mine), kSuccess);
+    const std::vector<ProcId> pids = w.group().pids;
+    if (w.rank() != 0) {
+      int v = 0;
+      (void)recv(&v, 1, 0, 0, w);  // released by rank 0, or killed
+      return;
+    }
+    Runtime& r = runtime();
+    r.kill(pids[9]);
+    r.fail_host(1);  // ranks 4-7
+    // Rank 9's freed slot and host 3 take five of the six children and the
+    // bound refuses the sixth, so the five placed are released unstarted.
+    Comm inter;
+    const std::vector<SpawnUnit> units{{"main", {}, 6, -1}};
+    ASSERT_EQ(comm_spawn_multiple(units, 0, mine, &inter), kErrSpawn);
+    const auto total = static_cast<ProcId>(r.total_processes());
+    ASSERT_EQ(total, 17);
+    const std::vector<ProcId> released{12, 13, 14, 15, 16};
+    for (ProcId p : released) ASSERT_TRUE(r.is_dead(p));
+
+    const std::vector<ProcId> expect{pids[4], pids[5], pids[6], pids[7], pids[9]};
+    ASSERT_EQ(comm_failure_ack(w), kSuccess);
+    Group acked;
+    ASSERT_EQ(comm_failure_get_acked(w, &acked), kSuccess);
+    EXPECT_EQ(acked.pids, expect);
+    EXPECT_EQ(r.dead_members(*w.context()), expect);
+    EXPECT_EQ(r.dead_ranks(*w.context()), (std::vector<int>{4, 5, 6, 7, 9}));
+
+    // A group in no pid order with a released child, and both sides of an
+    // intercommunicator (side 1 follows side 0 in the agreement ranks).
+    const auto g = r.create_context(Group{{pids[10], released[2], pids[3], pids[9], pids[0]}});
+    EXPECT_EQ(r.dead_members(*g), (std::vector<ProcId>{released[2], pids[9]}));
+    const auto ic = r.create_context(Group{{pids[0], pids[5]}},
+                                     Group{{pids[9], pids[1], released[0]}}, /*inter=*/true);
+    EXPECT_EQ(r.dead_members(*ic), (std::vector<ProcId>{pids[5], pids[9], released[0]}));
+    const Comm side1(ic, 1, pids[1]);
+    ASSERT_EQ(comm_failure_ack(side1), kSuccess);
+    EXPECT_EQ(side1.local().acked.pids, (std::vector<ProcId>{pids[9], released[0]}));
+    EXPECT_EQ(side1.rank(), 1);
+
+    const int v = 1;
+    for (int rank : {1, 2, 3, 8, 10, 11}) EXPECT_EQ(send(&v, 1, rank, 0, w), kSuccess);
+    ++checked;
+  });
+  EXPECT_EQ(rt.run("main", 12), 5);
+  EXPECT_EQ(checked.load(), 1);
 }
 
 TEST(FtmpiFailures, TreeAllreduceReportsAMidCallDeathToEverySurvivor) {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "core/reconstruct.hpp"
 #include "ftmpi/api.hpp"
@@ -32,6 +36,40 @@ TEST(SelectRankKey, SurvivorsKeepOriginalRanks) {
   for (int merged = 0; merged < 6; ++merged) {
     EXPECT_EQ(Reconstructor::select_rank_key(merged, 6, failed, 8),
               expect[static_cast<size_t>(merged)]);
+  }
+}
+
+// The key walk must agree with Fig. 7's list: the merged rank indexes the
+// list of surviving original ranks.  Random worlds and failed sets, plus
+// the edges: no failure, rank 0 failed and rank N-1 failed.
+TEST(SelectRankKey, MatchesTheFig7SurvivorListForRandomFailedSets) {
+  std::mt19937 rng(20140519);
+  const auto check = [](int n, const std::vector<int>& failed) {
+    std::vector<int> survivors;
+    for (int r = 0; r < n; ++r) {
+      if (std::find(failed.begin(), failed.end(), r) == failed.end()) survivors.push_back(r);
+    }
+    const int shrunken = static_cast<int>(survivors.size());
+    for (int merged = 0; merged < shrunken; ++merged) {
+      ASSERT_EQ(Reconstructor::select_rank_key(merged, shrunken, failed, n),
+                survivors[static_cast<size_t>(merged)])
+          << "n=" << n << " merged=" << merged << " failures=" << failed.size();
+    }
+  };
+  check(1, {});
+  check(8, {});
+  check(8, {0});
+  check(8, {7});
+  check(8, {7, 0});
+  check(5, {0, 1, 2, 3});
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = std::uniform_int_distribution<int>(2, 200)(rng);
+    const int k = std::uniform_int_distribution<int>(0, n - 1)(rng);
+    std::vector<int> ranks(static_cast<size_t>(n));
+    std::iota(ranks.begin(), ranks.end(), 0);
+    std::shuffle(ranks.begin(), ranks.end(), rng);
+    // Failed lists arrive in any order (several repair passes merge them).
+    check(n, std::vector<int>(ranks.begin(), ranks.begin() + k));
   }
 }
 

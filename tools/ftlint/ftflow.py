@@ -102,7 +102,7 @@ _OBSERVE_EXACT = {
     "dead", "finished", "revoked", "is_revoked", "interrupt", "interrupt2",
     "kErrProcFailed", "kErrRevoked", "kErrPending", "kErrComm", "kSuccess",
     "check_alive", "observe_error", "observe_hopeless_wait", "knows",
-    "knows_any_in", "live_ranks", "member_snapshot", "dead_members", "is_dead",
+    "knows_any_in", "dead_ranks", "member_snapshot", "dead_members", "is_dead",
     "epoch_ok", "wtime", "abort_self", "watch",
 }
 _OBSERVE_SUBSTR = ("epoch", "detect", "revoke", "failed", "dead", "alive",
