@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "advection/lax_wendroff.hpp"
@@ -46,27 +47,34 @@ BENCHMARK(BM_LaxWendroffStep)->Arg(5)->Arg(7)->Arg(9);
 
 // The sweeps every rank runs in ParallelSolver::step: sweep_x + sweep_y on
 // one halo'd block, at the block shapes (width x height) of the end-to-end
-// `solve` workload, 16,384 cells each.  An item is one cell update.
+// `solve` workload, 16,384 cells each.  The first argument is the kernel's
+// lane count; only the widths this CPU runs are registered, so each width
+// is gated against its own baseline entry on any runner.  An item is one
+// cell update.
 void BM_LocalFieldSweep(benchmark::State& state) {
-  const int w = static_cast<int>(state.range(0));
-  const int h = static_cast<int>(state.range(1));
+  const int lanes = static_cast<int>(state.range(0));
+  const int w = static_cast<int>(state.range(1));
+  const int h = static_cast<int>(state.range(2));
   ftr::grid::LocalField f(ftr::grid::Block{0, w, 0, h});
   for (int ly = -1; ly <= h; ++ly) {
     for (int lx = -1; lx <= w; ++lx) f.at(lx, ly) = std::sin(0.1 * lx) * std::cos(0.05 * ly);
   }
   for (auto _ : state) {
-    ftr::advection::sweep_x(f, 0.45);
-    ftr::advection::sweep_y(f, 0.225);
+    ftr::advection::detail::sweep_x_lanes(lanes, f, 0.45);
+    ftr::advection::detail::sweep_y_lanes(lanes, f, 0.225);
     benchmark::DoNotOptimize(f.raw().data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * w * h);
 }
-BENCHMARK(BM_LocalFieldSweep)
-    ->Args({32, 512})
-    ->Args({64, 256})
-    ->Args({128, 128})
-    ->Args({256, 64});
+void SweepShapes(benchmark::internal::Benchmark* b) {
+  for (const int lanes : ftr::advection::detail::sweep_lanes()) {
+    for (const auto& [w, h] : {std::pair{32, 512}, {64, 256}, {128, 128}, {256, 64}}) {
+      b->Args({lanes, w, h});
+    }
+  }
+}
+BENCHMARK(BM_LocalFieldSweep)->Apply(SweepShapes);
 
 void BM_RestrictInject(benchmark::State& state) {
   const int l = static_cast<int>(state.range(0));

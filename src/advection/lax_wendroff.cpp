@@ -2,9 +2,18 @@
 #include "common/annotations.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <utility>
 #include <vector>
+
+#if defined(__x86_64__)
+// The wider kernels' instruction sets; the rest of the program is built
+// without them and calls those kernels only after CPUID says they are there.
+#define FTR_SWEEP_WIDE 1
+#define FTR_AVX2 [[gnu::target("avx2")]]
+#define FTR_AVX512 [[gnu::target("avx512f")]]
+#endif
 
 namespace ftr::advection {
 
@@ -16,62 +25,97 @@ namespace {
 /// Persistent per-worker sweep scratch.  A sweep never suspends its rank,
 /// so the ranks that share a worker thread never share these rows midway;
 /// capacity persists across steps, so the hot path stops allocating after
-/// the first step on a given grid size.
-std::vector<double>& sweep_scratch(int which, std::size_t n) {
+/// the first step on a given grid size.  The rows start on a cache line,
+/// as LocalField rows do.
+LocalField::Storage& sweep_scratch(int which, std::size_t n) {
   FTR_PER_RANK("per-worker sweep scratch rows; safe because a sweep never suspends its rank")
-  thread_local std::vector<double> rows[3];
+  thread_local LocalField::Storage rows[3];
   auto& r = rows[which];
   // ftlint:allow(FTL003 warm-up growth of persistent thread_local scratch)
   if (r.size() < n) r.resize(n);
   return r;
 }
 
-/// Two neighbouring cells of a row in one register.  x86-64 has SSE2 in its
-/// baseline, so this needs no target flag, and lane arithmetic rounds exactly
-/// like scalar double arithmetic.
-using Pair = double __attribute__((vector_size(16)));
+// The kernels' vector types, each declared with a literal size: GCC ignores
+// vector_size on a template-dependent size without a diagnostic.  Lane
+// arithmetic rounds exactly like scalar double arithmetic.  The 2-lane
+// type is SSE2 on x86-64, part of its baseline.
+using V2 = double __attribute__((vector_size(16)));
+#ifdef FTR_SWEEP_WIDE
+using V4 = double __attribute__((vector_size(32)));
+using V8 = double __attribute__((vector_size(64)));
+#endif
 
-Pair load_pair(const double* p) {
-  Pair v{};
+/// Names a kernel's vector type in a call, so that the call deduces it and
+/// stays a plain call by name, which ftlint's FTL003 follows.
+template <typename V>
+struct Lanes {
+  static constexpr int kCount = sizeof(V) / sizeof(double);
+};
+
+// Vectors move through references only: see lw_update.
+template <typename V>
+[[gnu::always_inline]] inline void load(V& v, const double* p) {
   std::memcpy(&v, p, sizeof v);
-  return v;
 }
 
-void store_pair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+template <typename V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
-}  // namespace
+// The two kernels are always inlined into one function per width, which
+// carries that width's instruction set.
 
-FTR_HOT void sweep_x(LocalField& f, double courant_x) {
+template <typename V>
+FTR_HOT [[gnu::always_inline]] inline void sweep_x_kernel(LocalField& f, double c, Lanes<V>) {
   // The update at lx needs the *old* values at lx-1, lx, lx+1.  Walking east
-  // a pair of cells at a time, the pair and its east neighbours are still
-  // untouched and load in place.  The west neighbour of the pair's first cell
-  // was overwritten by the previous pair, so the previous pair's old values
-  // ride along in `prev` and a shuffle of prev and the current pair yields
-  // the west operands.  An odd width ends with one scalar update.
+  // a chunk of n cells at a time, the chunk's west, centre and east operands
+  // all load in place, because the previous chunk's result, which overwrites
+  // this chunk's first west operand, is stored only after those loads.  The
+  // last chunk's result is stored once the scalar tail has read the old
+  // value west of it; the tail carries its west operand from cell to cell.
+  constexpr int n = Lanes<V>::kCount;
   const auto& b = f.block();
   const int w = b.width();
   const int h = b.height();
   for (int ly = 0; ly < h; ++ly) {
     double* row = &f.at(0, ly);  // row[-1] and row[w] are the halo cells
-    Pair prev{row[-1], row[-1]};  // only lane 1, the west halo cell, is read
+    double west = row[-1];
     int lx = 0;
-    for (; lx + 1 < w; lx += 2) {
-      const Pair center = load_pair(row + lx);
-      const Pair west{prev[1], center[0]};
-      store_pair(row + lx, lw_update(west, center, load_pair(row + lx + 1), courant_x));
-      prev = center;
+    if (w >= n) {
+      V west_v, center_v, east_v, out;
+      load(west_v, row - 1);
+      load(center_v, row);
+      load(east_v, row + 1);
+      lw_update(out, west_v, center_v, east_v, c);
+      for (lx = n; lx + n <= w; lx += n) {
+        load(west_v, row + lx - 1);
+        load(center_v, row + lx);
+        load(east_v, row + lx + 1);
+        store(row + lx - n, out);
+        lw_update(out, west_v, center_v, east_v, c);
+      }
+      west = row[lx - 1];
+      store(row + lx - n, out);
     }
-    if (lx < w) row[lx] = lw_update(prev[1], row[lx], row[lx + 1], courant_x);
+    for (; lx < w; ++lx) {
+      const double center = row[lx];
+      row[lx] = lw_update(west, center, row[lx + 1], c);
+      west = center;
+    }
   }
 }
 
-FTR_HOT void sweep_y(LocalField& f, double courant_y) {
-  // Row-major, a pair of cells at a time.  Row ly needs the old rows ly-1,
-  // ly and ly+1.  Row ly+1 is still untouched and is read in place.  Old row
-  // ly-1 was overwritten one row earlier, so one scratch row carries it: as
-  // each pair of row ly is read, its old values replace the south values
-  // just used, and the buffer holds old row ly by the time row ly+1 needs
-  // it.  An odd width ends each row with one scalar update.
+template <typename V>
+FTR_HOT [[gnu::always_inline]] inline void sweep_y_kernel(LocalField& f, double c, Lanes<V>) {
+  // Row-major, n cells at a time.  Row ly needs the old rows ly-1, ly and
+  // ly+1.  Row ly+1 is still untouched and is read in place.  Old row ly-1
+  // was overwritten one row earlier, so one scratch row carries it: as each
+  // chunk of row ly is read, its old values replace the south values just
+  // used, and the buffer holds old row ly by the time row ly+1 needs it.
+  // Each row ends with a scalar tail of fewer than n cells.
+  constexpr int n = Lanes<V>::kCount;
   const auto& b = f.block();
   const int w = b.width();
   const int h = b.height();
@@ -81,18 +125,95 @@ FTR_HOT void sweep_y(LocalField& f, double courant_y) {
     double* row = &f.at(0, ly);
     const double* north = &f.at(0, ly + 1);
     int lx = 0;
-    for (; lx + 1 < w; lx += 2) {
-      const Pair center = load_pair(row + lx);
-      store_pair(row + lx,
-                 lw_update(load_pair(south + lx), center, load_pair(north + lx), courant_y));
-      store_pair(south + lx, center);
+    for (; lx + n <= w; lx += n) {
+      V south_v, center_v, north_v, out;
+      load(south_v, south + lx);
+      load(center_v, row + lx);
+      load(north_v, north + lx);
+      lw_update(out, south_v, center_v, north_v, c);
+      store(row + lx, out);
+      store(south + lx, center_v);
     }
-    if (lx < w) {
+    for (; lx < w; ++lx) {
       const double center = row[lx];
-      row[lx] = lw_update(south[lx], center, north[lx], courant_y);
+      row[lx] = lw_update(south[lx], center, north[lx], c);
       south[lx] = center;
     }
   }
+}
+
+FTR_HOT void sweep_x2(LocalField& f, double c) { sweep_x_kernel(f, c, Lanes<V2>{}); }
+FTR_HOT void sweep_y2(LocalField& f, double c) { sweep_y_kernel(f, c, Lanes<V2>{}); }
+
+#ifdef FTR_SWEEP_WIDE
+
+FTR_AVX2 FTR_HOT void sweep_x4(LocalField& f, double c) { sweep_x_kernel(f, c, Lanes<V4>{}); }
+FTR_AVX2 FTR_HOT void sweep_y4(LocalField& f, double c) { sweep_y_kernel(f, c, Lanes<V4>{}); }
+FTR_AVX512 FTR_HOT void sweep_x8(LocalField& f, double c) { sweep_x_kernel(f, c, Lanes<V8>{}); }
+FTR_AVX512 FTR_HOT void sweep_y8(LocalField& f, double c) { sweep_y_kernel(f, c, Lanes<V8>{}); }
+
+#endif  // FTR_SWEEP_WIDE
+
+struct LaneSet {
+  int lanes[3];
+  std::size_t count;
+};
+
+LaneSet read_cpu_lanes() {
+  LaneSet s{{2, 0, 0}, 1};
+#ifdef FTR_SWEEP_WIDE
+  __builtin_cpu_init();  // the first sweep may run from a static initializer
+  if (__builtin_cpu_supports("avx2")) s.lanes[s.count++] = 4;
+  if (__builtin_cpu_supports("avx512f")) s.lanes[s.count++] = 8;
+#endif
+  return s;
+}
+
+}  // namespace
+
+std::span<const int> detail::sweep_lanes() {
+  static const LaneSet s = read_cpu_lanes();  // CPUID, once per process
+  return {s.lanes, s.count};
+}
+
+FTR_HOT void detail::sweep_x_lanes(int lanes, LocalField& f, double courant_x) {
+  switch (lanes) {
+#ifdef FTR_SWEEP_WIDE
+    case 8:
+      sweep_x8(f, courant_x);
+      return;
+    case 4:
+      sweep_x4(f, courant_x);
+      return;
+#endif
+    default:
+      assert(lanes == 2);
+      sweep_x2(f, courant_x);
+  }
+}
+
+FTR_HOT void detail::sweep_y_lanes(int lanes, LocalField& f, double courant_y) {
+  switch (lanes) {
+#ifdef FTR_SWEEP_WIDE
+    case 8:
+      sweep_y8(f, courant_y);
+      return;
+    case 4:
+      sweep_y4(f, courant_y);
+      return;
+#endif
+    default:
+      assert(lanes == 2);
+      sweep_y2(f, courant_y);
+  }
+}
+
+FTR_HOT void sweep_x(LocalField& f, double courant_x) {
+  detail::sweep_x_lanes(detail::sweep_lanes().back(), f, courant_x);
+}
+
+FTR_HOT void sweep_y(LocalField& f, double courant_y) {
+  detail::sweep_y_lanes(detail::sweep_lanes().back(), f, courant_y);
 }
 
 FTR_HOT void sweep_x_serial(Grid2D& g, double courant_x) {

@@ -1,5 +1,7 @@
 #include "advection/parallel_solver.hpp"
 
+#include <vector>
+
 namespace ftr::advection {
 
 using ftr::grid::Block;
@@ -14,18 +16,21 @@ ParallelSolver::ParallelSolver(ftr::grid::Level level, Problem problem, double d
                                ftmpi::Comm comm)
     : problem_(problem), dt_(dt), comm_(std::move(comm)), decomp_(level, comm_.size()),
       field_(decomp_.block(comm_.rank())) {
-  fill_local([this](double x, double y) { return problem_.initial(x, y); });
+  reset_to_initial();
 }
 
-void ParallelSolver::fill_local(const std::function<double(double, double)>& f) {
+void ParallelSolver::reset_to_initial() {
   const Block& b = field_.block();
   const double hx = 1.0 / static_cast<double>(decomp_.unique_nx());
   const double hy = 1.0 / static_cast<double>(decomp_.unique_ny());
+  std::vector<double> fx(static_cast<size_t>(b.width()));
+  for (int lx = 0; lx < b.width(); ++lx) {
+    fx[static_cast<size_t>(lx)] = problem_.initial_x(static_cast<double>(b.x0 + lx) * hx);
+  }
   for (int ly = 0; ly < b.height(); ++ly) {
-    for (int lx = 0; lx < b.width(); ++lx) {
-      field_.at(lx, ly) = f(static_cast<double>(b.x0 + lx) * hx,
-                            static_cast<double>(b.y0 + ly) * hy);
-    }
+    const double fy = problem_.initial_y(static_cast<double>(b.y0 + ly) * hy);
+    double* row = &field_.at(0, ly);
+    for (int lx = 0; lx < b.width(); ++lx) row[lx] = fx[static_cast<size_t>(lx)] * fy;
   }
 }
 

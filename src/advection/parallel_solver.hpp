@@ -60,8 +60,10 @@ class ParallelSolver {
   /// (data recovery / checkpoint restart).  Collective over the group.
   int scatter_full(const ftr::grid::Grid2D& full_at_root);
 
-  /// Reset the local block from an arbitrary function (used by restart).
-  void fill_local(const std::function<double(double, double)>& f);
+  /// Reset the local block to the problem's initial condition (construction
+  /// and checkpoint restart without a checkpoint): one x factor per column
+  /// and one y factor per row, the same bits as Problem::initial per cell.
+  void reset_to_initial();
 
  private:
   Problem problem_;

@@ -20,10 +20,10 @@ struct Problem {
   double ax = 1.0;   ///< advection velocity, x component
   double ay = 0.5;   ///< advection velocity, y component
 
-  /// Smooth periodic initial condition.
-  [[nodiscard]] double initial(double x, double y) const {
-    return std::sin(kTwoPi * x) * std::sin(kTwoPi * y);
-  }
+  /// Smooth periodic initial condition: the product of its x and y factors.
+  [[nodiscard]] double initial(double x, double y) const { return initial_x(x) * initial_y(y); }
+  [[nodiscard]] double initial_x(double x) const { return std::sin(kTwoPi * x); }
+  [[nodiscard]] double initial_y(double y) const { return std::sin(kTwoPi * y); }
 
   /// Exact solution at time t (translation of the initial condition): the
   /// product of its x and y factors.

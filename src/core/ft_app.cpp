@@ -473,7 +473,7 @@ void FtApp::cr_restore(RankState& st, const std::vector<int>& lost, long target)
     st.solver->field().unpack_interior(snap->data);
     st.solver->set_steps_done(snap->step);
   } else {
-    st.solver->fill_local([this](double x, double y) { return cfg_.problem.initial(x, y); });
+    st.solver->reset_to_initial();
     st.solver->set_steps_done(0);
   }
   const int solve_rc = solve_to(st, target);

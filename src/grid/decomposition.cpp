@@ -87,13 +87,12 @@ void LocalField::store_to(Grid2D& full) const {
   }
 }
 
-// Interior row ly starts one halo cell into storage row ly + 1.
 std::vector<double> LocalField::pack_interior() const {
-  const auto w = static_cast<std::ptrdiff_t>(block_.width());
+  const int w = block_.width();
   std::vector<double> v;
   v.reserve(static_cast<size_t>(block_.cells()));
   for (int ly = 0; ly < block_.height(); ++ly) {
-    const auto row = data_.begin() + (ly + 1) * static_cast<std::ptrdiff_t>(stride_) + 1;
+    const double* row = &at(0, ly);
     v.insert(v.end(), row, row + w);
   }
   return v;
@@ -102,10 +101,7 @@ std::vector<double> LocalField::pack_interior() const {
 void LocalField::unpack_interior(const std::vector<double>& v) {
   assert(v.size() == static_cast<size_t>(block_.cells()));
   const auto w = static_cast<std::ptrdiff_t>(block_.width());
-  for (int ly = 0; ly < block_.height(); ++ly) {
-    std::copy_n(v.begin() + ly * w, w,
-                data_.begin() + (ly + 1) * static_cast<std::ptrdiff_t>(stride_) + 1);
-  }
+  for (int ly = 0; ly < block_.height(); ++ly) std::copy_n(v.begin() + ly * w, w, &at(0, ly));
 }
 
 std::vector<double> LocalField::pack_column(int lx) const {

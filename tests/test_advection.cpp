@@ -140,6 +140,42 @@ TEST(ParallelSolver, MatchesSerialBitForBit) {
   EXPECT_EQ(bad.load(), 0);
 }
 
+TEST(ParallelSolver, ResetToInitialMatchesProblemInitialBitForBit) {
+  // Level{5,4} on 15 ranks is a 5x3 process grid with block widths 7, 7, 6,
+  // 6, 6 and heights 6, 5, 5: odd widths and blocks away from the origin.
+  // Every cell must hold Problem::initial's bits at construction and after
+  // a reset (a checkpoint restart without a checkpoint).
+  ftmpi::Runtime rt;
+  std::atomic<int> bad{0};
+  std::atomic<int> odd_offset_blocks{0};
+  const Problem p{1.0, 0.5};
+  const Level level{5, 4};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    ParallelSolver solver(level, p, stable_timestep(5, p), ftmpi::world());
+    const auto& b = solver.field().block();
+    if (b.width() % 2 == 1 && b.x0 > 0 && b.y0 > 0) ++odd_offset_blocks;
+    const auto mismatches = [&] {
+      int n = 0;
+      for (int ly = 0; ly < b.height(); ++ly) {
+        for (int lx = 0; lx < b.width(); ++lx) {
+          const double x = static_cast<double>(b.x0 + lx) * (1.0 / (1 << level.x));
+          const double y = static_cast<double>(b.y0 + ly) * (1.0 / (1 << level.y));
+          n += std::bit_cast<std::uint64_t>(solver.field().at(lx, ly)) !=
+               std::bit_cast<std::uint64_t>(p.initial(x, y));
+        }
+      }
+      return n;
+    };
+    bad += mismatches();
+    if (solver.run(3) != ftmpi::kSuccess) ++bad;
+    solver.reset_to_initial();
+    bad += mismatches();
+  });
+  rt.run("main", 15);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(odd_offset_blocks.load(), 0);
+}
+
 TEST(ParallelSolver, ScatterThenGatherRoundTrips) {
   ftmpi::Runtime rt;
   std::atomic<int> bad{0};

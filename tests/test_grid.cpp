@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ftmpi/api.hpp"
@@ -174,13 +176,17 @@ TEST(LocalField, LoadStoreRoundTrip) {
 }
 
 TEST(LocalField, InteriorPackIsRowMajorAndLeavesHalosAlone) {
-  // Every stored cell, halo included, holds a distinct value, so a pack
-  // that reads a halo cell or a wrong row shows up as a wrong value.
+  // Every stored cell, halo and padding included, holds a distinct value,
+  // so a pack that reads a halo or padding cell or a wrong row shows up as
+  // a wrong value.
   for (const int w : {1, 3, 7}) {
     const int h = 5;
     LocalField f(Block{2, 2 + w, 3, 3 + h});
-    std::vector<double>& raw = f.raw();
+    auto& raw = f.raw();
     for (size_t i = 0; i < raw.size(); ++i) raw[i] = static_cast<double>(i) + 0.5;
+    const auto index = [&](int lx, int ly) {
+      return static_cast<size_t>(&f.at(lx, ly) - f.raw().data());
+    };
 
     const std::vector<double> packed = f.pack_interior();
     ASSERT_EQ(packed.size(), static_cast<size_t>(w * h)) << "width " << w;
@@ -191,19 +197,22 @@ TEST(LocalField, InteriorPackIsRowMajorAndLeavesHalosAlone) {
       }
     }
 
-    // Unpacking new values writes exactly the interior, in the same order.
+    // Unpacking new values writes exactly the interior, in the same order:
+    // every halo and padding cell keeps its value.
     std::vector<double> fresh(packed.size());
     for (size_t k = 0; k < fresh.size(); ++k) fresh[k] = -1.0 - static_cast<double>(k);
-    std::vector<double> expected = raw;
+    auto expected = raw;
     for (int ly = 0; ly < h; ++ly) {
       for (int lx = 0; lx < w; ++lx) {
-        expected[static_cast<size_t>((ly + 1) * (w + 2) + lx + 1)] =
-            fresh[static_cast<size_t>(ly * w + lx)];
+        expected[index(lx, ly)] = fresh[static_cast<size_t>(ly * w + lx)];
       }
     }
     f.unpack_interior(fresh);
     EXPECT_EQ(f.raw(), expected) << "width " << w;
     EXPECT_EQ(f.pack_interior(), fresh) << "width " << w;
+    size_t kept = 0;
+    for (size_t i = 0; i < raw.size(); ++i) kept += raw[i] == static_cast<double>(i) + 0.5;
+    EXPECT_EQ(kept, raw.size() - static_cast<size_t>(w * h)) << "width " << w;
 
     // Round trip into a field with other halos: interior restored, halos kept.
     LocalField g(f.block());
@@ -213,6 +222,33 @@ TEST(LocalField, InteriorPackIsRowMajorAndLeavesHalosAlone) {
     EXPECT_EQ(std::count(g.raw().begin(), g.raw().end(), 7.25),
               static_cast<long>(g.raw().size()) - w * h)
         << "width " << w;
+  }
+}
+
+TEST(LocalField, InteriorRowsStartOnCacheLines) {
+  // Each interior row starts on a 64-byte boundary, its west halo cell in
+  // the slot just before, in the field as built and in a copy or a move of
+  // it.
+  const auto rows_aligned = [](const LocalField& f) {
+    const int h = f.block().height();
+    for (int ly = -1; ly <= h; ++ly) {
+      if (reinterpret_cast<std::uintptr_t>(&f.at(0, ly)) % 64 != 0) return false;
+      if (&f.at(-1, ly) + 1 != &f.at(0, ly)) return false;
+    }
+    return true;
+  };
+  for (int w = 1; w <= 40; ++w) {
+    for (const int h : {1, 2, 5}) {
+      LocalField f(Block{3, 3 + w, 1, 1 + h});
+      EXPECT_TRUE(rows_aligned(f)) << "width " << w << ", height " << h;
+      const LocalField copy = f;
+      EXPECT_TRUE(rows_aligned(copy)) << "copy, width " << w << ", height " << h;
+      LocalField assigned(Block{0, 1, 0, 1});
+      assigned = f;
+      EXPECT_TRUE(rows_aligned(assigned)) << "assigned, width " << w << ", height " << h;
+      const LocalField moved = std::move(f);
+      EXPECT_TRUE(rows_aligned(moved)) << "move, width " << w << ", height " << h;
+    }
   }
 }
 

@@ -287,12 +287,14 @@ TEST(Sweeps, LocalFieldSweepsMatchSerialOnSingleBlock) {
 }
 
 TEST(Sweeps, LocalFieldSweepsMatchScalarUpdateAtEveryWidth) {
-  // The LocalField sweeps update two cells at a time and finish an odd width
-  // with one scalar update.  Against lw_update applied cell by cell to a
-  // snapshot of the old values, every width from 1 to 9 must agree in every
-  // bit, halos included (non-periodic values, so a wrong neighbour shows).
-  for (int w = 1; w <= 9; ++w) {
-    const int h = 3;
+  // Every sweep width this CPU runs updates n cells at a time and ends each
+  // row with a scalar tail of fewer than n cells.  Against lw_update applied
+  // cell by cell to a snapshot of the old values, every block width from 1
+  // to 40 (several chunks and every tail length at 8 lanes) and height from
+  // 1 to 4 must agree in every bit, halos and row padding included
+  // (non-periodic values, so a wrong neighbour shows).  The dispatched
+  // sweep_x/sweep_y must agree too.
+  const auto run = [](int lanes, int w, int h) {
     LocalField f(Block{0, w, 0, h});
     for (int ly = -1; ly <= h; ++ly) {
       for (int lx = -1; lx <= w; ++lx) f.at(lx, ly) = wavy(0.11 * lx, 0.07 * ly) + 0.01 * lx;
@@ -308,14 +310,44 @@ TEST(Sweeps, LocalFieldSweepsMatchScalarUpdateAtEveryWidth) {
     };
     LocalField ref = f;
     sweep_ref(ref, 1, 0, 0.45);
-    ftr::advection::sweep_x(f, 0.45);
     sweep_ref(ref, 0, 1, 0.3);
-    ftr::advection::sweep_y(f, 0.3);
+    if (lanes == 0) {
+      ftr::advection::sweep_x(f, 0.45);
+      ftr::advection::sweep_y(f, 0.3);
+    } else {
+      ftr::advection::detail::sweep_x_lanes(lanes, f, 0.45);
+      ftr::advection::detail::sweep_y_lanes(lanes, f, 0.3);
+    }
+    int mismatches = 0;
     for (size_t i = 0; i < f.raw().size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(f.raw()[i]), std::bit_cast<std::uint64_t>(ref.raw()[i]))
-          << "width " << w << ", element " << i;
+      mismatches += std::bit_cast<std::uint64_t>(f.raw()[i]) !=
+                    std::bit_cast<std::uint64_t>(ref.raw()[i]);
+    }
+    return mismatches;
+  };
+  std::vector<int> lanes(ftr::advection::detail::sweep_lanes().begin(),
+                         ftr::advection::detail::sweep_lanes().end());
+  lanes.push_back(0);  // the dispatched sweeps
+  for (const int n : lanes) {
+    for (int w = 1; w <= 40; ++w) {
+      for (int h = 1; h <= 4; ++h) {
+        EXPECT_EQ(run(n, w, h), 0) << "lanes " << n << " (0: dispatched), width " << w
+                                   << ", height " << h;
+      }
     }
   }
+}
+
+TEST(Sweeps, DispatchRunsTheWidestWidthTheCpuHas) {
+  // 2 lanes everywhere, 4 with AVX2, 8 with AVX-512F; sweep_x and sweep_y
+  // run the last of sweep_lanes().
+  std::vector<int> expected{2};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) expected.push_back(4);
+  if (__builtin_cpu_supports("avx512f")) expected.push_back(8);
+#endif
+  const auto lanes = ftr::advection::detail::sweep_lanes();
+  EXPECT_EQ(std::vector<int>(lanes.begin(), lanes.end()), expected);
 }
 
 TEST(HaloScratch, PackIntoReusesCapacity) {
