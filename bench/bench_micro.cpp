@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark, real wall time): kernels of the
 // library — the Lax-Wendroff sweeps (serial and per-rank), inter-grid
 // transfers, combination evaluation, GCP coefficient solving, the
-// repair's group bookkeeping and the runtime's message round trip.  These
+// repair's group bookkeeping, the runtime's message round trip and buddy
+// replication.  These
 // complement the figure-reproduction benches, which report virtual
 // (modeled) time.
 
@@ -24,6 +25,7 @@
 #include "ftmpi/runtime.hpp"
 #include "grid/decomposition.hpp"
 #include "grid/sampling.hpp"
+#include "recovery/buddy.hpp"
 
 using ftr::comb::CoefficientProblem;
 using ftr::comb::Scheme;
@@ -186,6 +188,48 @@ void BM_PingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * trips);
 }
 BENCHMARK(BM_PingPong)->Arg(1000)->UseRealTime();
+
+// An owner streams 1000 replicas of a block of range(0) cells (4096: one
+// `overlap` replica, 64 x 64) to its buddy, which drains each into a
+// BuddyStore: the pack from the field with its CRC, the move through the
+// runtime, the drain's CRC check and the store.  The holder acknowledges
+// each replica, so one at a time is in flight.  An item is one replica.
+void BM_BuddyReplicate(benchmark::State& state) {
+  const int side =
+      static_cast<int>(std::lround(std::sqrt(static_cast<double>(state.range(0)))));
+  constexpr int kReplicas = 1000;
+  constexpr int kTagAck = 1;
+  ftr::rec::BuddyTopology topo;  // one rank per grid and host: rank 1 holds rank 0
+  topo.first_rank = {0, 1};
+  topo.procs_per_grid = {1, 1};
+  topo.partner_grid = {-1, -1};
+  topo.slots_per_host = 1;
+  ftmpi::Runtime rt;
+  rt.register_app("replicate", [&](const std::vector<std::string>&) {
+    const ftmpi::Comm& w = ftmpi::world();
+    if (w.rank() == 0) {
+      ftr::grid::LocalField f(ftr::grid::Block{0, side, 0, side});
+      for (int ly = 0; ly < side; ++ly) {
+        for (int lx = 0; lx < side; ++lx) f.at(lx, ly) = 0.5 * lx - 0.25 * ly;
+      }
+      for (long step = 1; step <= kReplicas; ++step) {
+        if (ftr::rec::buddy_send(topo, w, 0, 0, step, f) != ftmpi::kSuccess) return;
+        int ack = 0;
+        if (ftmpi::recv(&ack, 1, 1, kTagAck, w) != ftmpi::kSuccess) return;
+      }
+    } else {
+      ftr::rec::BuddyStore store;
+      for (int i = 0; i < kReplicas; ++i) {
+        if (ftmpi::probe(0, ftr::rec::kTagBuddyRepl, w) != ftmpi::kSuccess) return;
+        if (ftr::rec::buddy_drain(store, w) != 1) return;
+        if (ftmpi::send(&i, 1, 0, kTagAck, w) != ftmpi::kSuccess) return;
+      }
+    }
+  });
+  for (auto _ : state) rt.run("replicate", 2);
+  state.SetItemsProcessed(state.iterations() * kReplicas);
+}
+BENCHMARK(BM_BuddyReplicate)->Arg(4096)->UseRealTime();
 
 }  // namespace
 

@@ -135,12 +135,12 @@ void BM_HaloPackUnpack(benchmark::State& state) {
   for (int ly = 0; ly < n; ++ly) {
     for (int lx = 0; lx < n; ++lx) f.at(lx, ly) = lx + ly;
   }
-  auto& hs = f.halo_scratch();
+  std::vector<std::byte> column, row;
   for (auto _ : state) {
-    f.pack_column_into(n - 1, hs.send[0]);
-    f.unpack_halo_column(-1, hs.send[0]);
-    f.pack_row_into(n - 1, hs.send[1]);
-    f.unpack_halo_row(-1, hs.send[1]);
+    f.pack_column_bytes(n - 1, column);
+    f.fill_halo_column(-1, column);
+    f.pack_row_bytes(n - 1, row);
+    f.fill_halo_row(-1, row);
     benchmark::DoNotOptimize(f.raw().data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n);

@@ -43,15 +43,8 @@ void SerialDiffusionSolver::step() {
   const int ny = grid_.ny() - 1;
   LocalField f(ftr::grid::Block{0, nx, 0, ny});
   f.load_from(grid_);
-  auto& hs = f.halo_scratch();
-  f.pack_column_into(nx - 1, hs.send[0]);
-  f.unpack_halo_column(-1, hs.send[0]);
-  f.pack_column_into(0, hs.send[1]);
-  f.unpack_halo_column(nx, hs.send[1]);
-  f.pack_row_into(ny - 1, hs.send[0]);
-  f.unpack_halo_row(-1, hs.send[0]);
-  f.pack_row_into(0, hs.send[1]);
-  f.unpack_halo_row(ny, hs.send[1]);
+  f.wrap_x();
+  f.wrap_y();
   const double rx = problem_.kappa * dt_ / (grid_.hx() * grid_.hx());
   const double ry = problem_.kappa * dt_ / (grid_.hy() * grid_.hy());
   ftcs_step(f, rx, ry);
@@ -107,25 +100,7 @@ int ParallelDiffusionSolver::run(long steps) {
 
 int ParallelDiffusionSolver::gather_full(Grid2D* out) {
   constexpr int kTag = 211;
-  if (comm_.rank() == 0) {
-    *out = Grid2D(decomp_.level());
-    field_.store_to(*out);  // own block first
-    for (int r = 1; r < comm_.size(); ++r) {
-      const ftr::grid::Block b = decomp_.block(r);
-      std::vector<double> buf(static_cast<size_t>(b.cells()));
-      const int rc = ftmpi::recv(buf.data(), static_cast<int>(buf.size()), r, kTag, comm_);
-      if (rc != ftmpi::kSuccess) return rc;
-      size_t k = 0;
-      for (int ly = 0; ly < b.height(); ++ly) {
-        for (int lx = 0; lx < b.width(); ++lx) out->at(b.x0 + lx, b.y0 + ly) = buf[k++];
-      }
-    }
-    out->enforce_periodicity();
-    return ftmpi::kSuccess;
-  }
-  if (out != nullptr) *out = Grid2D{};
-  const std::vector<double> interior = field_.pack_interior();
-  return ftmpi::send(interior.data(), static_cast<int>(interior.size()), 0, kTag, comm_);
+  return ftr::grid::gather_blocks(field_, decomp_, comm_, kTag, out);
 }
 
 }  // namespace ftr::advection

@@ -62,50 +62,11 @@ int ParallelSolver::run(long steps) {
 }
 
 int ParallelSolver::gather_full(Grid2D* out) {
-  if (comm_.rank() == 0) {
-    *out = Grid2D(decomp_.level());
-    field_.store_to(*out);  // own block first
-    for (int r = 1; r < comm_.size(); ++r) {
-      const Block b = decomp_.block(r);
-      std::vector<double> buf(static_cast<size_t>(b.cells()));
-      const int rc = ftmpi::recv(buf.data(), static_cast<int>(buf.size()), r, kTagGather,
-                                 comm_);
-      if (rc != ftmpi::kSuccess) return rc;
-      size_t k = 0;
-      for (int ly = 0; ly < b.height(); ++ly) {
-        for (int lx = 0; lx < b.width(); ++lx) out->at(b.x0 + lx, b.y0 + ly) = buf[k++];
-      }
-    }
-    out->enforce_periodicity();
-    return ftmpi::kSuccess;
-  }
-  if (out != nullptr) *out = Grid2D{};
-  const std::vector<double> interior = field_.pack_interior();
-  return ftmpi::send(interior.data(), static_cast<int>(interior.size()), 0, kTagGather,
-                     comm_);
+  return ftr::grid::gather_blocks(field_, decomp_, comm_, kTagGather, out);
 }
 
 int ParallelSolver::scatter_full(const Grid2D& full_at_root) {
-  if (comm_.rank() == 0) {
-    for (int r = 1; r < comm_.size(); ++r) {
-      const Block b = decomp_.block(r);
-      std::vector<double> buf(static_cast<size_t>(b.cells()));
-      size_t k = 0;
-      for (int ly = 0; ly < b.height(); ++ly) {
-        for (int lx = 0; lx < b.width(); ++lx) buf[k++] = full_at_root.at(b.x0 + lx, b.y0 + ly);
-      }
-      const int rc = ftmpi::send(buf.data(), static_cast<int>(buf.size()), r, kTagScatter,
-                                 comm_);
-      if (rc != ftmpi::kSuccess) return rc;
-    }
-    field_.load_from(full_at_root);
-    return ftmpi::kSuccess;
-  }
-  std::vector<double> buf(static_cast<size_t>(field_.block().cells()));
-  const int rc = ftmpi::recv(buf.data(), static_cast<int>(buf.size()), 0, kTagScatter, comm_);
-  if (rc != ftmpi::kSuccess) return rc;
-  field_.unpack_interior(buf);
-  return ftmpi::kSuccess;
+  return ftr::grid::scatter_blocks(field_, decomp_, comm_, kTagScatter, full_at_root);
 }
 
 }  // namespace ftr::advection

@@ -61,16 +61,18 @@ Classification classify(const Layout& layout, const std::vector<int>& survivor_o
 }
 
 std::vector<std::byte> pack_manifest(const std::vector<ftr::rec::ReplicaMessage>& reps) {
-  std::vector<std::byte> out(sizeof(long));
-  const long n = static_cast<long>(reps.size());
-  std::memcpy(out.data(), &n, sizeof(long));
+  const auto append_long = [](std::vector<std::byte>& out, long v) {
+    const auto* bytes = reinterpret_cast<const std::byte*>(&v);
+    out.insert(out.end(), bytes, bytes + sizeof(long));
+  };
+  std::size_t total = sizeof(long);
+  for (const auto& r : reps) total += sizeof(long) + r.wire.size();
+  std::vector<std::byte> out;
+  out.reserve(total);
+  append_long(out, static_cast<long>(reps.size()));
   for (const auto& r : reps) {
-    const auto blob = ftr::rec::pack_replica(r.grid, r.grank, r.step, r.data);
-    const long nbytes = static_cast<long>(blob.size());
-    const size_t at = out.size();
-    out.resize(at + sizeof(long) + blob.size());
-    std::memcpy(out.data() + at, &nbytes, sizeof(long));
-    std::memcpy(out.data() + at + sizeof(long), blob.data(), blob.size());
+    append_long(out, static_cast<long>(r.wire.size()));
+    out.insert(out.end(), r.wire.begin(), r.wire.end());
   }
   return out;
 }
@@ -87,10 +89,14 @@ std::vector<ftr::rec::ReplicaMessage> unpack_manifest(const std::byte* bytes, st
     std::memcpy(&nbytes, bytes + at, sizeof(long));
     at += sizeof(long);
     if (nbytes < 0 || at + static_cast<size_t>(nbytes) > n) return {};
-    auto msg = ftr::rec::unpack_replica(bytes + at, static_cast<size_t>(nbytes));
+    const std::byte* rec = bytes + at;
     at += static_cast<size_t>(nbytes);
-    if (!msg.has_value()) continue;  // CRC-corrupt record: skip, keep the rest
-    out.push_back(std::move(*msg));
+    const auto head = ftr::rec::check_replica(rec, static_cast<size_t>(nbytes));
+    if (!head.has_value()) continue;  // CRC-corrupt record: skip, keep the rest
+    out.push_back({.grid = head->grid,
+                   .grank = head->grank,
+                   .step = head->step,
+                   .wire = std::vector<std::byte>(rec, rec + nbytes)});
   }
   return out;
 }

@@ -118,7 +118,7 @@ struct Classification {
 /// A survivor's manifest stages the buddy replicas (generations it holds for
 /// members of affected grids) to the repair leader during the prefix.
 /// Wire format: [long n] then n records, each [long nbytes] + the
-/// pack_replica() bytes of one generation.  An empty manifest (n = 0) is
+/// pack_replica() bytes of one generation (a stored wire buffer as is).  An empty manifest (n = 0) is
 /// valid — every survivor sends exactly one, so the leader never waits on a
 /// message that will not come.  Unpacking drops CRC-corrupt records.
 [[nodiscard]] std::vector<std::byte> pack_manifest(

@@ -546,30 +546,23 @@ void FtApp::buddy_restore_one(RankState& st, int grid, long step, long target) {
   for (int gr = 0; gr < nprocs; ++gr) {
     const int owner = first + gr;
     if (ftr::rec::buddy_rank_of(topo, owner) != st.wrank) continue;
-    const auto rep = buddy_->read_at(ftmpi::self_pid(), grid, gr, step);
-    if (!rep.has_value()) {
+    auto wire = buddy_->read_at(ftmpi::self_pid(), grid, gr, step);
+    if (!wire.has_value()) {
       FTR_WARN("ft_app: buddy replica of grid %d/%d step %ld unavailable on rank %d", grid,
                gr, step, st.wrank);
+      wire = ftr::rec::pack_replica(grid, gr, step, {});
     }
-    const auto buf = ftr::rec::pack_replica(
-        grid, gr, step, rep.has_value() ? rep->data : std::vector<double>{});
     // A failed ship means the owner died again; its group revokes and the
     // next detection point replans, so the send error is tolerated here.
     ftr::observe_error(
-        ftmpi::send_bytes(buf.data(), buf.size(), owner, ftr::rec::kTagBuddyFetch, st.world),
+        ftmpi::send_bytes(std::move(*wire), owner, ftr::rec::kTagBuddyFetch, st.world),
         "ft_app.buddy.ship");
   }
   if (st.grid != grid || !st.solver) return;
   const int holder = ftr::rec::buddy_rank_of(topo, st.wrank);
-  const auto& blk = st.solver->field().block();
-  const size_t cells = static_cast<size_t>(blk.cells());
-  std::vector<std::byte> buf(5 * sizeof(long) + cells * sizeof(double));
-  ftmpi::Status stat;
-  const int rc = ftmpi::recv_bytes(buf.data(), buf.size(), holder, ftr::rec::kTagBuddyFetch,
-                                   st.world, &stat);
-  std::optional<ftr::rec::ReplicaMessage> msg;
-  if (rc == kSuccess) msg = ftr::rec::unpack_replica(buf.data(), static_cast<size_t>(stat.count));
-  if (!restore_replica(st, msg, step, target)) {
+  std::vector<std::byte> wire;
+  const int rc = ftmpi::recv_bytes(&wire, holder, ftr::rec::kTagBuddyFetch, st.world);
+  if (!restore_replica(st, rc == kSuccess ? &wire : nullptr, step, target)) {
     // Dead holder, corrupt replica, vanished generation or a failure during
     // the recompute: this grid cannot come back through the buddy rung.
     // Revoke so group mates bail out of the restore; the next detection
@@ -580,11 +573,15 @@ void FtApp::buddy_restore_one(RankState& st, int grid, long step, long target) {
   }
 }
 
-bool FtApp::restore_replica(RankState& st, const std::optional<ftr::rec::ReplicaMessage>& msg,
-                            long step, long target) {
-  const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
-  if (!msg.has_value() || msg->step != step || msg->data.size() != cells) return false;
-  st.solver->field().unpack_interior(msg->data);
+bool FtApp::restore_replica(RankState& st, const std::vector<std::byte>* wire, long step,
+                            long target) {
+  auto& field = st.solver->field();
+  const auto head =
+      wire != nullptr ? ftr::rec::check_replica(wire->data(), wire->size()) : std::nullopt;
+  if (!head.has_value() || head->step != step || head->count != field.block().cells()) {
+    return false;
+  }
+  field.unpack_interior(wire->data() + ftr::rec::kReplicaHeaderBytes);
   st.solver->set_steps_done(step);
   return solve_to(st, target) == kSuccess;
 }
@@ -620,7 +617,7 @@ void FtApp::buddy_tick(RankState& st) {
   // replication overlaps the next timesteps.
   ftr::rec::buddy_drain(*buddy_, st.world);
   const int brc = ftr::rec::buddy_send(st.btopo, st.world, st.grid, st.gcomm.rank(), s,
-                                       st.solver->field().pack_interior());
+                                       st.solver->field());
   if (brc != kSuccess) {
     // The replica did not land: the planner's buddy rung will see this
     // generation as unavailable at restore time, so surface it now.
@@ -881,9 +878,9 @@ bool FtApp::try_overlap_recovery(RankState& st, long interval, int step_rc) {
         const auto h = buddy_->holding(ftmpi::self_pid(), g, gr);
         for (const long s : {h.newest, h.prev}) {
           if (s <= 0) continue;
-          const auto rep = buddy_->read_at(ftmpi::self_pid(), g, gr, s);
-          if (!rep.has_value()) continue;  // CRC-invalid generation
-          mine_reps.push_back({.grid = g, .grank = gr, .step = s, .data = rep->data});
+          auto wire = buddy_->read_at(ftmpi::self_pid(), g, gr, s);
+          if (!wire.has_value()) continue;  // CRC-invalid generation
+          mine_reps.push_back({.grid = g, .grank = gr, .step = s, .wire = std::move(*wire)});
         }
       }
     }
@@ -891,9 +888,9 @@ bool FtApp::try_overlap_recovery(RankState& st, long interval, int step_rc) {
   if (shrunken.rank() != cls.repair_leader_shrunken) {
     // Every non-leader survivor sends exactly one manifest (possibly empty),
     // so the leader never waits on a message that will not come.
-    const auto buf = overlap::pack_manifest(mine_reps);
-    ftr::observe_error(ftmpi::send_bytes(buf.data(), buf.size(), cls.repair_leader_shrunken,
-                                         overlap::kTagStage, shrunken),
+    ftr::observe_error(ftmpi::send_bytes(overlap::pack_manifest(mine_reps),
+                                         cls.repair_leader_shrunken, overlap::kTagStage,
+                                         shrunken),
                        "ft_app.overlap.stage");
     mine_reps.clear();
   }
@@ -1109,14 +1106,12 @@ bool FtApp::overlap_repair(RankState& st, long interval, const overlap::Classifi
     }
     for (int r = 0; r < bridge.size(); ++r) {
       if (r == cls.repair_leader_shrunken) continue;
-      ftmpi::Status stat;
-      if (ftmpi::probe(r, overlap::kTagStage, bridge, &stat) != kSuccess) continue;
-      std::vector<std::byte> buf(static_cast<size_t>(stat.count));
-      if (ftmpi::recv_bytes(buf.data(), buf.size(), r, overlap::kTagStage, bridge, &stat) !=
-          kSuccess) {
+      if (ftmpi::probe(r, overlap::kTagStage, bridge) != kSuccess) continue;
+      std::vector<std::byte> buf;
+      if (ftmpi::recv_bytes(&buf, r, overlap::kTagStage, bridge) != kSuccess) {
         continue;  // dead sender: its replicas are simply unavailable
       }
-      auto reps = overlap::unpack_manifest(buf.data(), static_cast<size_t>(stat.count));
+      auto reps = overlap::unpack_manifest(buf.data(), buf.size());
       staged.insert(staged.end(), std::make_move_iterator(reps.begin()),
                     std::make_move_iterator(reps.end()));
     }
@@ -1192,8 +1187,8 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
           return r.grid == e.grid && r.grank == gr && r.step == e.step;
         });
         if (hit == staged.end()) continue;  // member detects the gap and revokes
-        const auto buf = ftr::rec::pack_replica(e.grid, gr, e.step, hit->data);
-        ftr::observe_error(ftmpi::send_bytes(buf.data(), buf.size(), dst,
+        // Each staged generation ships to its one member, so it moves.
+        ftr::observe_error(ftmpi::send_bytes(std::move(hit->wire), dst,
                                              overlap::kTagRestore, rworld),
                            "ft_app.overlap.restore_ship");
       }
@@ -1208,23 +1203,18 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
     }
     if (e.grid != st.grid) continue;
     if (e.action == ftr::rec::RecoveryAction::Buddy) {
-      std::optional<ftr::rec::ReplicaMessage> msg;
+      const std::vector<std::byte>* wire = nullptr;
+      std::vector<std::byte> shipped;
       if (rworld.rank() == view.leader_rworld) {
         const auto hit = std::find_if(staged.begin(), staged.end(), [&](const auto& r) {
           return r.grid == e.grid && r.grank == st.gcomm.rank() && r.step == e.step;
         });
-        if (hit != staged.end()) msg = *hit;
-      } else {
-        const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
-        std::vector<std::byte> buf(5 * sizeof(long) + cells * sizeof(double));
-        ftmpi::Status stat;
-        const int rc = ftmpi::recv_bytes(buf.data(), buf.size(), view.leader_rworld,
-                                         overlap::kTagRestore, rworld, &stat);
-        if (rc == kSuccess) {
-          msg = ftr::rec::unpack_replica(buf.data(), static_cast<size_t>(stat.count));
-        }
+        if (hit != staged.end()) wire = &hit->wire;
+      } else if (ftmpi::recv_bytes(&shipped, view.leader_rworld, overlap::kTagRestore,
+                                   rworld) == kSuccess) {
+        wire = &shipped;
       }
-      if (!restore_replica(st, msg, e.step, view.target)) {
+      if (!restore_replica(st, wire, e.step, view.target)) {
         return overlap_abort_restore(st, rworld, "buddy_restore");
       }
     } else {  // Disk (RC rungs are gated off in PlannerMode::Overlap)

@@ -227,12 +227,13 @@ class FtApp {
   void cr_restore(RankState& st, const std::vector<int>& lost, long target);
   void rc_restore_one(RankState& st, int lost_id, int partner, long target);
   void buddy_restore_one(RankState& st, int grid, long step, long target);
-  /// Shared tail of both buddy restores: accept the fetched replica only
-  /// as generation `step` of this rank's block, unpack it and recompute to
+  /// Shared tail of both buddy restores: accept the fetched replica wire
+  /// buffer (null when none arrived) only as a CRC-valid generation `step`
+  /// of this rank's block, unpack it into the field and recompute to
   /// `target`.  False on a missing/mismatched replica or a failed
   /// recompute; the caller decides how to abort.
-  bool restore_replica(RankState& st, const std::optional<ftr::rec::ReplicaMessage>& msg,
-                       long step, long target);
+  bool restore_replica(RankState& st, const std::vector<std::byte>* wire, long step,
+                       long target);
   /// Collective over st.gcomm: the group's lowest steps_done in *lo and
   /// whether every member sits at it with no step torn by a revoke (the
   /// state plain catch-up stepping needs).  Returns the first reduction

@@ -113,7 +113,24 @@ FTR_NODISCARD int comm_set_errhandler(const Comm& c, ErrhandlerFn handler);
 FTR_NODISCARD int finish(const Comm& c, int code);
 
 // --- point-to-point -----------------------------------------------------------
+// Payload ownership.  A message carries its payload as one
+// std::vector<std::byte>, and the owned forms below pass that vector along
+// instead of copying it.  A send taking `std::vector<std::byte>&&` moves the
+// caller's buffer into the message when it posts it (the caller's vector is
+// left empty; on an error return it is left as it was).  A receive taking
+// `std::vector<std::byte>*` moves the matched payload, whole and of any
+// length, into *out, releasing what *out held; Status::count is its length.
+// A payload sent by move therefore arrives in the very buffer the sender
+// filled.  The pointer forms wrap the owned ones and copy once: a send
+// copies its `n` bytes into a new payload, a receive copies at most
+// `max_bytes` of the payload out (a longer payload fills the buffer and
+// returns kErrArg, a shorter one fills a prefix; Status::count is the bytes
+// copied).  Either way the virtual-time charge depends on the byte count
+// alone.
 
+FTR_NODISCARD int send_bytes(std::vector<std::byte>&& payload, int dest, int tag, const Comm& c);
+FTR_NODISCARD int recv_bytes(std::vector<std::byte>* out, int src, int tag, const Comm& c,
+                             Status* status = nullptr);
 FTR_NODISCARD int send_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c);
 FTR_NODISCARD int recv_bytes(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c,
                Status* status = nullptr);
@@ -137,6 +154,8 @@ FTR_NODISCARD int recv(T* buf, int count, int src, int tag, const Comm& c, Statu
 
 class Request;
 
+FTR_NODISCARD int isend_bytes(std::vector<std::byte>&& payload, int dest, int tag,
+                              const Comm& c, Request* req);
 FTR_NODISCARD int isend_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c,
                 Request* req);
 FTR_NODISCARD int irecv_bytes(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c,
@@ -158,8 +177,13 @@ FTR_NODISCARD int probe(int src, int tag, const Comm& c, Status* status = nullpt
 /// revoke fences future traffic but does not claw back eager data the
 /// transport delivered before it.  Recovery protocols use them to harvest
 /// in-flight replicas after the world broke.  recv_buffered never blocks;
-/// with nothing matching it returns kErrPending.
+/// with nothing matching it returns kErrPending.  Neither runs the error
+/// handler.  Its owned form hands the first matching payload back whole, so
+/// a loop of recv_buffered(&buf, kAnySource, tag, ...) drains a tag without
+/// probing first.
 FTR_NODISCARD int iprobe_buffered(int src, int tag, const Comm& c, int* flag, Status* status = nullptr);
+FTR_NODISCARD int recv_buffered(std::vector<std::byte>* out, int src, int tag, const Comm& c,
+                                Status* status = nullptr);
 FTR_NODISCARD int recv_buffered(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c,
                   Status* status = nullptr);
 

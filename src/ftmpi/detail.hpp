@@ -119,6 +119,13 @@ FTR_NODISCARD int ctrl_recv(ProcId src, std::uint64_t ctx, int tag, std::vector<
 FTR_NODISCARD int ctrl_recv_any(const std::vector<ProcId>& watch, std::uint64_t ctx, int tag,
                   std::vector<std::byte>* out, ProcId* src, const RecvOpts& opts = {});
 
+/// The pointer-form receives' copy out of an owned payload: at most
+/// `max_bytes` into `buf`, Status::count the bytes copied.  kErrArg when the
+/// payload was longer than `max_bytes`, else kSuccess; the caller decides
+/// whether the error handler runs.
+int copy_out(const std::vector<std::byte>& payload, void* buf, std::size_t max_bytes,
+             Status* status);
+
 // --- trivially-copyable packing helpers -----------------------------------
 
 template <class T>

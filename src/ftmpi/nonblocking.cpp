@@ -12,7 +12,7 @@
 
 namespace ftmpi {
 
-int isend_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c,
+int isend_bytes(std::vector<std::byte>&& payload, int dest, int tag, const Comm& c,
                 Request* req) {
   // Eager transport: the send buffers at the destination immediately.  A
   // nonblocking send only charges its injection overhead to the sender's
@@ -21,7 +21,7 @@ int isend_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& 
   // what lets buddy replication overlap time-stepping).
   ProcessState& ps = detail::self();
   const double before = ps.vclock;
-  const int rc = send_bytes(data, n, dest, tag, c);
+  const int rc = send_bytes(std::move(payload), dest, tag, c);
   if (rc == kSuccess) {
     const double charged = ps.vclock - before;
     ps.vclock = before + std::min(charged, detail::rt().cost().send_overhead);
@@ -30,6 +30,12 @@ int isend_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& 
   req->kind_ = Request::Kind::SendComplete;
   req->send_result = rc;
   return rc;
+}
+
+int isend_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c,
+                Request* req) {
+  const auto* bytes = static_cast<const std::byte*>(data);
+  return isend_bytes(std::vector<std::byte>(bytes, bytes + n), dest, tag, c, req);
 }
 
 int irecv_bytes(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c,
@@ -89,11 +95,13 @@ int test(Request* req, int* flag, Status* status) {
       const int rc = iprobe(req->source, req->tag, req->comm, &available, nullptr);
       if (rc != kSuccess) {
         // Probe surfaced a definitive condition (failed peer / revoked):
-        // complete the request with that outcome.
+        // complete the request with that outcome, through the handler of
+        // the request's communicator as wait() would.
         *flag = 1;
+        const Comm comm = std::move(req->comm);
         *req = Request{};
         if (status != nullptr) status->error = rc;
-        return finish(req->comm, rc);
+        return finish(comm, rc);
       }
       if (!available) return kSuccess;
       *flag = 1;
@@ -210,7 +218,7 @@ int iprobe_buffered(int src, int tag, const Comm& c, int* flag, Status* status) 
   return kSuccess;
 }
 
-int recv_buffered(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c,
+int recv_buffered(std::vector<std::byte>* out, int src, int tag, const Comm& c,
                   Status* status) {
   detail::check_alive();
   if (c.is_null()) return kErrComm;
@@ -224,17 +232,23 @@ int recv_buffered(void* buf, std::size_t max_bytes, int src, int tag, const Comm
     ps.vclock = std::max(ps.vclock, msg.arrive) + cm.recv_overhead;
     FTR_VTSAN_JOIN(msg);
     lock.unlock();
-    const std::size_t n = std::min(max_bytes, msg.payload.size());
-    if (n > 0) std::memcpy(buf, msg.payload.data(), n);
     if (status != nullptr) {
       status->source = msg.src_rank;
       status->tag = msg.tag;
-      status->error = msg.payload.size() > max_bytes ? kErrArg : kSuccess;
-      status->count = static_cast<int>(n);
+      status->error = kSuccess;
+      status->count = static_cast<int>(msg.payload.size());
     }
-    return msg.payload.size() > max_bytes ? kErrArg : kSuccess;
+    *out = std::move(msg.payload);
+    return kSuccess;
   }
   return kErrPending;  // nothing buffered — this variant never blocks
+}
+
+int recv_buffered(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c,
+                  Status* status) {
+  std::vector<std::byte> payload;
+  const int rc = recv_buffered(&payload, src, tag, c, status);
+  return rc != kSuccess ? rc : detail::copy_out(payload, buf, max_bytes, status);
 }
 
 int sendrecv_bytes(const void* send_data, std::size_t send_n, int dest, int send_tag,

@@ -293,6 +293,18 @@ int ctrl_recv_any(const std::vector<ProcId>& watch, std::uint64_t ctx, int tag,
   return rc;
 }
 
+int copy_out(const std::vector<std::byte>& payload, void* buf, std::size_t max_bytes,
+             Status* status) {
+  const std::size_t n = std::min(max_bytes, payload.size());
+  if (n > 0) std::memcpy(buf, payload.data(), n);
+  const int rc = payload.size() > max_bytes ? kErrArg : kSuccess;
+  if (status != nullptr) {
+    status->error = rc;
+    status->count = static_cast<int>(n);
+  }
+  return rc;
+}
+
 }  // namespace detail
 
 int finish(const Comm& c, int code) {
@@ -306,7 +318,7 @@ int finish(const Comm& c, int code) {
   return code;
 }
 
-int send_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c) {
+int send_bytes(std::vector<std::byte>&& payload, int dest, int tag, const Comm& c) {
   detail::check_alive();
   if (c.is_null()) return kErrComm;
   FTR_PSAN_USE(c, "send_bytes");
@@ -325,14 +337,18 @@ int send_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c
   msg.src_rank = c.rank();
   msg.src_side = c.side();
   msg.ctrl = false;
-  const auto* bytes = static_cast<const std::byte*>(data);
-  if (n > 0) msg.payload.assign(bytes, bytes + n);
+  const std::size_t n = payload.size();
+  msg.payload = std::move(payload);
   detail::post(dpid, std::move(msg), n);
   return kSuccess;
 }
 
-int recv_bytes(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c,
-               Status* status) {
+int send_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c) {
+  const auto* bytes = static_cast<const std::byte*>(data);
+  return send_bytes(std::vector<std::byte>(bytes, bytes + n), dest, tag, c);
+}
+
+int recv_bytes(std::vector<std::byte>* out, int src, int tag, const Comm& c, Status* status) {
   detail::check_alive();
   if (c.is_null()) return kErrComm;
   FTR_PSAN_USE(c, "recv_bytes");
@@ -359,15 +375,24 @@ int recv_bytes(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c
   Message msg;
   const int rc = detail::wait_for_message(spec, &msg);
   if (rc != kSuccess) return finish(c, rc);
-  const std::size_t n = std::min(max_bytes, msg.payload.size());
-  if (n > 0) std::memcpy(buf, msg.payload.data(), n);
   if (status != nullptr) {
     status->source = msg.src_rank;
     status->tag = msg.tag;
-    status->error = msg.payload.size() > max_bytes ? kErrArg : kSuccess;
-    status->count = static_cast<int>(n);
+    status->error = kSuccess;
+    status->count = static_cast<int>(msg.payload.size());
   }
-  return msg.payload.size() > max_bytes ? finish(c, kErrArg) : kSuccess;
+  *out = std::move(msg.payload);
+  return kSuccess;
+}
+
+int recv_bytes(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c,
+               Status* status) {
+  std::vector<std::byte> payload;
+  const int rc = recv_bytes(&payload, src, tag, c, status);
+  if (rc != kSuccess) return rc;
+  const int copied = detail::copy_out(payload, buf, max_bytes, status);
+  if (copied != kSuccess) return finish(c, copied);
+  return kSuccess;
 }
 
 }  // namespace ftmpi

@@ -10,6 +10,7 @@
 // applications the familiar post-early/complete-late structure.
 
 #include <cstddef>
+#include <vector>
 
 #include "ftmpi/comm.hpp"
 #include "ftmpi/types.hpp"
@@ -26,7 +27,7 @@ class Request {
  private:
   enum class Kind { Null, SendComplete, Recv };
 
-  friend int isend_bytes(const void*, std::size_t, int, int, const Comm&, Request*);
+  friend int isend_bytes(std::vector<std::byte>&&, int, int, const Comm&, Request*);
   friend int irecv_bytes(void*, std::size_t, int, int, const Comm&, Request*);
   friend int wait(Request*, Status*);
   friend int test(Request*, int*, Status*);

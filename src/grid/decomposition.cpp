@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 
 namespace ftr::grid {
 
@@ -104,36 +105,72 @@ void LocalField::unpack_interior(const std::vector<double>& v) {
   for (int ly = 0; ly < block_.height(); ++ly) std::copy_n(v.begin() + ly * w, w, &at(0, ly));
 }
 
-std::vector<double> LocalField::pack_column(int lx) const {
-  std::vector<double> v;
-  pack_column_into(lx, v);
-  return v;
+FTR_HOT void LocalField::append_interior(std::vector<std::byte>& out) const {
+  const auto row_bytes = static_cast<std::size_t>(block_.width()) * sizeof(double);
+  for (int ly = 0; ly < block_.height(); ++ly) {
+    const auto* row = reinterpret_cast<const std::byte*>(&at(0, ly));
+    // ftlint:allow(FTL003 appends into the capacity the caller reserved)
+    out.insert(out.end(), row, row + row_bytes);
+  }
 }
 
-std::vector<double> LocalField::pack_row(int ly) const {
-  std::vector<double> v;
-  pack_row_into(ly, v);
-  return v;
+FTR_HOT void LocalField::unpack_interior(const std::byte* bytes) {
+  const auto row_bytes = static_cast<std::size_t>(block_.width()) * sizeof(double);
+  for (int ly = 0; ly < block_.height(); ++ly) {
+    std::memcpy(&at(0, ly), bytes + static_cast<std::size_t>(ly) * row_bytes, row_bytes);
+  }
 }
 
-FTR_HOT void LocalField::pack_column_into(int lx, std::vector<double>& v) const {
-  // ftlint:allow(FTL003 warm-up growth of persistent halo scratch)
-  v.resize(static_cast<size_t>(block_.height()));
-  for (int ly = 0; ly < block_.height(); ++ly) v[static_cast<size_t>(ly)] = at(lx, ly);
+// The column copies keep the payload pointer, the field pointer and the
+// stride in locals: a byte store may alias any member, so the compiler
+// would otherwise reload all three for every cell.
+FTR_HOT void LocalField::pack_column_bytes(int lx, std::vector<std::byte>& out) const {
+  const auto h = static_cast<std::size_t>(block_.height());
+  // ftlint:allow(FTL003 sizes a payload that already holds an edge after the first exchange)
+  out.resize(h * sizeof(double));
+  std::byte* dst = out.data();
+  const double* src = &at(lx, 0);
+  const auto stride = static_cast<std::size_t>(stride_);
+  for (std::size_t ly = 0; ly < h; ++ly) {
+    std::memcpy(dst + ly * sizeof(double), src + ly * stride, sizeof(double));
+  }
 }
 
-FTR_HOT void LocalField::pack_row_into(int ly, std::vector<double>& v) const {
-  // ftlint:allow(FTL003 warm-up growth of persistent halo scratch)
-  v.resize(static_cast<size_t>(block_.width()));
-  for (int lx = 0; lx < block_.width(); ++lx) v[static_cast<size_t>(lx)] = at(lx, ly);
+FTR_HOT void LocalField::pack_row_bytes(int ly, std::vector<std::byte>& out) const {
+  // ftlint:allow(FTL003 sizes a payload that already holds an edge after the first exchange)
+  out.resize(static_cast<std::size_t>(block_.width()) * sizeof(double));
+  std::memcpy(out.data(), &at(0, ly), out.size());
 }
 
-FTR_HOT void LocalField::unpack_halo_column(int lx, const std::vector<double>& v) {
-  for (int ly = 0; ly < block_.height(); ++ly) at(lx, ly) = v[static_cast<size_t>(ly)];
+FTR_HOT void LocalField::fill_halo_column(int lx, const std::vector<std::byte>& in) {
+  const std::size_t n =
+      std::min(static_cast<std::size_t>(block_.height()), in.size() / sizeof(double));
+  double* dst = &at(lx, 0);
+  const std::byte* src = in.data();
+  const auto stride = static_cast<std::size_t>(stride_);
+  for (std::size_t ly = 0; ly < n; ++ly) {
+    std::memcpy(dst + ly * stride, src + ly * sizeof(double), sizeof(double));
+  }
 }
 
-FTR_HOT void LocalField::unpack_halo_row(int ly, const std::vector<double>& v) {
-  for (int lx = 0; lx < block_.width(); ++lx) at(lx, ly) = v[static_cast<size_t>(lx)];
+FTR_HOT void LocalField::fill_halo_row(int ly, const std::vector<std::byte>& in) {
+  const std::size_t n =
+      std::min(static_cast<std::size_t>(block_.width()), in.size() / sizeof(double));
+  if (n > 0) std::memcpy(&at(0, ly), in.data(), n * sizeof(double));
+}
+
+FTR_HOT void LocalField::wrap_x() {
+  const int w = block_.width();
+  for (int ly = 0; ly < block_.height(); ++ly) {
+    at(-1, ly) = at(w - 1, ly);
+    at(w, ly) = at(0, ly);
+  }
+}
+
+FTR_HOT void LocalField::wrap_y() {
+  const auto row_bytes = static_cast<std::size_t>(block_.width()) * sizeof(double);
+  std::memcpy(&at(0, -1), &at(0, block_.height() - 1), row_bytes);
+  std::memcpy(&at(0, block_.height()), &at(0, 0), row_bytes);
 }
 
 }  // namespace ftr::grid

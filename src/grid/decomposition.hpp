@@ -125,34 +125,49 @@ class LocalField {
   void load_from(const Grid2D& full);
   void store_to(Grid2D& full) const;
   /// Copy the owned interior to / from a flat row-major vector of
-  /// block().cells() values (checkpoints, replicas, gathers).
+  /// block().cells() values (checkpoints).
   [[nodiscard]] std::vector<double> pack_interior() const;
   void unpack_interior(const std::vector<double>& v);
 
-  /// Pack/unpack one edge of the interior (for halo exchange).  The
-  /// allocating pack_column/pack_row remain for one-off callers; the per-step
-  /// paths use the *_into forms with the field's persistent HaloScratch.
-  [[nodiscard]] std::vector<double> pack_column(int lx) const;
-  [[nodiscard]] std::vector<double> pack_row(int ly) const;
-  void pack_column_into(int lx, std::vector<double>& v) const;
-  void pack_row_into(int ly, std::vector<double>& v) const;
-  void unpack_halo_column(int lx, const std::vector<double>& v);
-  void unpack_halo_row(int ly, const std::vector<double>& v);
+  /// Message payloads.  append_interior appends the interior, row-major, as
+  /// interior_bytes() raw bytes to `out` (replicas, gathers: the caller
+  /// reserves, so nothing is zero-filled); unpack_interior overwrites the
+  /// interior from interior_bytes() such bytes.
+  void append_interior(std::vector<std::byte>& out) const;
+  void unpack_interior(const std::byte* bytes);
 
-  /// Persistent pack/recv buffers owned by the field so the per-step halo
-  /// exchange (and the serial periodic wrap) stops allocating.  Buffers are
-  /// resized on first use per direction and reused for the field's lifetime.
-  struct HaloScratch {
-    std::vector<double> send[2];  ///< west/south edge, east/north edge
-    std::vector<double> recv[2];  ///< from west/south, from east/north
+  /// Halo payloads.  pack_column_bytes / pack_row_bytes size `out` to one
+  /// edge of the interior (column lx: height() doubles, row ly: width()) and
+  /// copy the edge into it; sizing a payload that already has the edge's
+  /// capacity allocates nothing.  fill_halo_column / fill_halo_row copy a
+  /// payload of at most one edge into halo column lx / row ly; a shorter one
+  /// fills a prefix.
+  void pack_column_bytes(int lx, std::vector<std::byte>& out) const;
+  void pack_row_bytes(int ly, std::vector<std::byte>& out) const;
+  void fill_halo_column(int lx, const std::vector<std::byte>& in);
+  void fill_halo_row(int ly, const std::vector<std::byte>& in);
+
+  /// Periodic wrap within a block that spans its axis: copy the east edge to
+  /// the west halo column and the west edge to the east one (wrap_x), and
+  /// likewise north/south rows (wrap_y).
+  void wrap_x();
+  void wrap_y();
+
+  /// The halo exchange's message payloads, one pair per axis: [0] carries
+  /// the west/south edge out, [1] the east/north edge.  A sent payload moves
+  /// into its message, and the payloads received in return take its place,
+  /// so in steady state the exchange allocates nothing.
+  struct HaloPayloads {
+    std::vector<std::byte> x[2];
+    std::vector<std::byte> y[2];
   };
-  [[nodiscard]] HaloScratch& halo_scratch() { return halo_; }
+  [[nodiscard]] HaloPayloads& halo_payloads() { return halo_; }
 
  private:
   Block block_{};
   int stride_ = 0;
   Storage data_;
-  HaloScratch halo_;
+  HaloPayloads halo_;
 };
 
 }  // namespace ftr::grid

@@ -1,6 +1,8 @@
 #include "grid/halo.hpp"
 
-#include "ftmpi/request.hpp"
+#include <algorithm>
+#include <cstring>
+#include <utility>
 
 namespace ftr::grid {
 
@@ -10,96 +12,128 @@ constexpr int kTagWest = 101;   // data travelling westwards (to the west neighb
 constexpr int kTagEast = 102;   // data travelling eastwards
 constexpr int kTagSouth = 103;
 constexpr int kTagNorth = 104;
-}  // namespace
 
-int exchange_x(LocalField& f, const Decomposition& d, const ftmpi::Comm& comm) {
-  const int rank = comm.rank();
-  const Block& b = f.block();
-  auto& hs = f.halo_scratch();
-  if (d.px() == 1) {
-    // Periodic wrap within the single owner of every column.
-    f.pack_column_into(b.width() - 1, hs.send[0]);
-    f.unpack_halo_column(-1, hs.send[0]);
-    f.pack_column_into(0, hs.send[1]);
-    f.unpack_halo_column(b.width(), hs.send[1]);
-    return ftmpi::kSuccess;
-  }
-  const int west = d.west(rank);
-  const int east = d.east(rank);
-
-  // MPI-idiomatic pattern: post both receives, send both edges, wait.  All
-  // buffers are the field's persistent scratch; no per-step allocation.
-  auto& from_west = hs.recv[0];
-  auto& from_east = hs.recv[1];
-  from_west.resize(static_cast<size_t>(b.height()));
-  from_east.resize(static_cast<size_t>(b.height()));
-  ftmpi::Request reqs[2];
-  int rc = ftmpi::irecv(from_east.data(), static_cast<int>(from_east.size()), east,
-                        kTagWest, comm, &reqs[0]);
+/// One axis of the exchange.  Both edges go out first, each payload moved
+/// into its message; then the payload from the high neighbor and the one
+/// from the low neighbor are received, in that order, into the two slots
+/// the sends emptied, where they wait to carry the next exchange's edges.
+/// Both receives run even when the first fails, as a waitall over the two
+/// would, and the first error is returned.  A payload longer than its edge
+/// is kErrArg, reported through the communicator's error handler.
+template <class Pack, class Fill>
+int exchange_axis(std::vector<std::byte> (&payload)[2], std::size_t edge_bytes, int low,
+                  int high, int tag_low, int tag_high, const ftmpi::Comm& comm, Pack pack,
+                  Fill fill) {
+  pack(0, payload[0]);
+  pack(1, payload[1]);
+  int rc = ftmpi::send_bytes(std::move(payload[0]), low, tag_low, comm);
   if (rc != ftmpi::kSuccess) return rc;
-  rc = ftmpi::irecv(from_west.data(), static_cast<int>(from_west.size()), west, kTagEast,
-                    comm, &reqs[1]);
+  rc = ftmpi::send_bytes(std::move(payload[1]), high, tag_high, comm);
   if (rc != ftmpi::kSuccess) return rc;
 
-  auto& west_edge = hs.send[0];
-  auto& east_edge = hs.send[1];
-  f.pack_column_into(0, west_edge);
-  f.pack_column_into(b.width() - 1, east_edge);
-  rc = ftmpi::send(west_edge.data(), static_cast<int>(west_edge.size()), west, kTagWest,
-                   comm);
+  const auto receive = [&](std::vector<std::byte>& into, int src, int tag) {
+    const int r = ftmpi::recv_bytes(&into, src, tag, comm);
+    if (r != ftmpi::kSuccess) return r;
+    return into.size() > edge_bytes ? ftmpi::finish(comm, ftmpi::kErrArg) : ftmpi::kSuccess;
+  };
+  const int from_high = receive(payload[1], high, tag_low);
+  const int from_low = receive(payload[0], low, tag_high);
+  rc = from_high != ftmpi::kSuccess ? from_high : from_low;
   if (rc != ftmpi::kSuccess) return rc;
-  rc = ftmpi::send(east_edge.data(), static_cast<int>(east_edge.size()), east, kTagEast,
-                   comm);
-  if (rc != ftmpi::kSuccess) return rc;
-
-  rc = ftmpi::waitall(reqs, 2);
-  if (rc != ftmpi::kSuccess) return rc;
-  f.unpack_halo_column(b.width(), from_east);
-  f.unpack_halo_column(-1, from_west);
+  fill(1, payload[1]);
+  fill(0, payload[0]);
   return ftmpi::kSuccess;
 }
 
-int exchange_y(LocalField& f, const Decomposition& d, const ftmpi::Comm& comm) {
-  const int rank = comm.rank();
+}  // namespace
+
+int exchange_x(LocalField& f, const Decomposition& d, const ftmpi::Comm& comm) {
   const Block& b = f.block();
-  auto& hs = f.halo_scratch();
-  if (d.py() == 1) {
-    f.pack_row_into(b.height() - 1, hs.send[0]);
-    f.unpack_halo_row(-1, hs.send[0]);
-    f.pack_row_into(0, hs.send[1]);
-    f.unpack_halo_row(b.height(), hs.send[1]);
+  if (d.px() == 1) {
+    f.wrap_x();  // periodic wrap within the single owner of every column
     return ftmpi::kSuccess;
   }
-  const int south = d.south(rank);
-  const int north = d.north(rank);
+  const int rank = comm.rank();
+  const int w = b.width();
+  return exchange_axis(
+      f.halo_payloads().x, static_cast<std::size_t>(b.height()) * sizeof(double),
+      d.west(rank), d.east(rank), kTagWest, kTagEast, comm,
+      [&](int side, std::vector<std::byte>& out) { f.pack_column_bytes(side == 0 ? 0 : w - 1, out); },
+      [&](int side, const std::vector<std::byte>& in) { f.fill_halo_column(side == 0 ? -1 : w, in); });
+}
 
-  auto& from_south = hs.recv[0];
-  auto& from_north = hs.recv[1];
-  from_south.resize(static_cast<size_t>(b.width()));
-  from_north.resize(static_cast<size_t>(b.width()));
-  ftmpi::Request reqs[2];
-  int rc = ftmpi::irecv(from_north.data(), static_cast<int>(from_north.size()), north,
-                        kTagSouth, comm, &reqs[0]);
-  if (rc != ftmpi::kSuccess) return rc;
-  rc = ftmpi::irecv(from_south.data(), static_cast<int>(from_south.size()), south,
-                    kTagNorth, comm, &reqs[1]);
-  if (rc != ftmpi::kSuccess) return rc;
+int exchange_y(LocalField& f, const Decomposition& d, const ftmpi::Comm& comm) {
+  const Block& b = f.block();
+  if (d.py() == 1) {
+    f.wrap_y();
+    return ftmpi::kSuccess;
+  }
+  const int rank = comm.rank();
+  const int h = b.height();
+  return exchange_axis(
+      f.halo_payloads().y, static_cast<std::size_t>(b.width()) * sizeof(double),
+      d.south(rank), d.north(rank), kTagSouth, kTagNorth, comm,
+      [&](int side, std::vector<std::byte>& out) { f.pack_row_bytes(side == 0 ? 0 : h - 1, out); },
+      [&](int side, const std::vector<std::byte>& in) { f.fill_halo_row(side == 0 ? -1 : h, in); });
+}
 
-  auto& south_edge = hs.send[0];
-  auto& north_edge = hs.send[1];
-  f.pack_row_into(0, south_edge);
-  f.pack_row_into(b.height() - 1, north_edge);
-  rc = ftmpi::send(south_edge.data(), static_cast<int>(south_edge.size()), south, kTagSouth,
-                   comm);
-  if (rc != ftmpi::kSuccess) return rc;
-  rc = ftmpi::send(north_edge.data(), static_cast<int>(north_edge.size()), north, kTagNorth,
-                   comm);
-  if (rc != ftmpi::kSuccess) return rc;
+int gather_blocks(const LocalField& f, const Decomposition& d, const ftmpi::Comm& comm, int tag,
+                  Grid2D* out) {
+  if (comm.rank() != 0) {
+    if (out != nullptr) *out = Grid2D{};
+    std::vector<std::byte> payload;
+    payload.reserve(f.interior_bytes());
+    f.append_interior(payload);
+    return ftmpi::send_bytes(std::move(payload), 0, tag, comm);
+  }
+  *out = Grid2D(d.level());
+  f.store_to(*out);  // own block first
+  std::vector<std::byte> payload;
+  for (int r = 1; r < comm.size(); ++r) {
+    const Block b = d.block(r);
+    const int rc = ftmpi::recv_bytes(&payload, r, tag, comm);
+    if (rc != ftmpi::kSuccess) return rc;
+    const std::size_t row = static_cast<std::size_t>(b.width()) * sizeof(double);
+    if (payload.size() > row * static_cast<std::size_t>(b.height())) {
+      return ftmpi::finish(comm, ftmpi::kErrArg);
+    }
+    // A shorter payload fills a prefix of the block; the rest stays zero.
+    for (std::size_t at = 0, ly = 0; at < payload.size(); at += row, ++ly) {
+      std::memcpy(&out->at(b.x0, b.y0 + static_cast<int>(ly)), payload.data() + at,
+                  std::min(row, payload.size() - at));
+    }
+  }
+  out->enforce_periodicity();
+  return ftmpi::kSuccess;
+}
 
-  rc = ftmpi::waitall(reqs, 2);
+int scatter_blocks(LocalField& f, const Decomposition& d, const ftmpi::Comm& comm, int tag,
+                   const Grid2D& full_at_root) {
+  if (comm.rank() == 0) {
+    const double* grid = full_at_root.data().data();
+    const auto nx = static_cast<std::size_t>(full_at_root.nx());
+    for (int r = 1; r < comm.size(); ++r) {
+      const Block b = d.block(r);
+      const std::size_t row = static_cast<std::size_t>(b.width()) * sizeof(double);
+      std::vector<std::byte> payload;
+      payload.reserve(row * static_cast<std::size_t>(b.height()));
+      for (int y = b.y0; y < b.y1; ++y) {
+        const auto* src = reinterpret_cast<const std::byte*>(
+            grid + static_cast<std::size_t>(y) * nx + static_cast<std::size_t>(b.x0));
+        payload.insert(payload.end(), src, src + row);
+      }
+      const int rc = ftmpi::send_bytes(std::move(payload), r, tag, comm);
+      if (rc != ftmpi::kSuccess) return rc;
+    }
+    f.load_from(full_at_root);
+    return ftmpi::kSuccess;
+  }
+  std::vector<std::byte> payload;
+  const int rc = ftmpi::recv_bytes(&payload, 0, tag, comm);
   if (rc != ftmpi::kSuccess) return rc;
-  f.unpack_halo_row(b.height(), from_north);
-  f.unpack_halo_row(-1, from_south);
+  if (payload.size() > f.interior_bytes()) return ftmpi::finish(comm, ftmpi::kErrArg);
+  payload.resize(f.interior_bytes());  // a shorter payload leaves the rest zero
+  f.unpack_interior(payload.data());
   return ftmpi::kSuccess;
 }
 

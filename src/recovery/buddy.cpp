@@ -89,63 +89,88 @@ std::vector<int> buddy_clients_of(const BuddyTopology& topo, int holder) {
 // --- wire format ------------------------------------------------------------
 
 namespace {
-constexpr std::size_t kHeaderLongs = 5;  // grid, grank, step, count, crc
-constexpr std::size_t kHeaderBytes = kHeaderLongs * sizeof(long);
+
+/// Append the header of a `count`-double replica with a zero CRC.
+void append_header(std::vector<std::byte>& buf, int grid, int grank, long step, long count) {
+  const long header[5] = {static_cast<long>(grid), static_cast<long>(grank), step, count, 0};
+  const auto* bytes = reinterpret_cast<const std::byte*>(header);
+  // ftlint:allow(FTL003 appends into the capacity the caller reserved)
+  buf.insert(buf.end(), bytes, bytes + kReplicaHeaderBytes);
+}
+
+/// Write the payload's CRC into the header of a packed buffer.
+void seal(std::vector<std::byte>& buf, long step, long count) {
+  const auto crc = static_cast<long>(
+      snapshot_crc(step, buf.data() + kReplicaHeaderBytes, static_cast<std::size_t>(count)));
+  std::memcpy(buf.data() + 4 * sizeof(long), &crc, sizeof(long));
+}
+
 }  // namespace
 
 std::vector<std::byte> pack_replica(int grid, int grank, long step,
                                     const std::vector<double>& data) {
-  const long header[kHeaderLongs] = {static_cast<long>(grid), static_cast<long>(grank), step,
-                                     static_cast<long>(data.size()),
-                                     static_cast<long>(snapshot_crc(step, data))};
-  std::vector<std::byte> buf(kHeaderBytes + data.size() * sizeof(double));
-  std::memcpy(buf.data(), header, kHeaderBytes);
-  if (!data.empty()) {
-    std::memcpy(buf.data() + kHeaderBytes, data.data(), data.size() * sizeof(double));
-  }
+  const auto count = static_cast<long>(data.size());
+  std::vector<std::byte> buf;
+  buf.reserve(kReplicaHeaderBytes + data.size() * sizeof(double));
+  append_header(buf, grid, grank, step, count);
+  const auto* bytes = reinterpret_cast<const std::byte*>(data.data());
+  buf.insert(buf.end(), bytes, bytes + data.size() * sizeof(double));
+  seal(buf, step, count);
   return buf;
 }
 
-std::optional<ReplicaMessage> unpack_replica(const std::byte* bytes, std::size_t n) {
-  if (bytes == nullptr || n < kHeaderBytes) return std::nullopt;
-  long header[kHeaderLongs];
-  std::memcpy(header, bytes, kHeaderBytes);
-  ReplicaMessage m;
-  m.grid = static_cast<int>(header[0]);
-  m.grank = static_cast<int>(header[1]);
-  m.step = header[2];
-  const long count = header[3];
-  m.crc = static_cast<std::uint32_t>(header[4]);
+FTR_HOT std::vector<std::byte> pack_field_replica(int grid, int grank, long step,
+                                                  const ftr::grid::LocalField& f) {
+  const long count = f.block().cells();
+  std::vector<std::byte> buf;
+  // ftlint:allow(FTL003 the one buffer of a replica; its holder keeps it)
+  buf.reserve(kReplicaHeaderBytes + f.interior_bytes());
+  append_header(buf, grid, grank, step, count);
+  f.append_interior(buf);
+  seal(buf, step, count);
+  return buf;
+}
+
+FTR_HOT std::optional<ReplicaHeader> check_replica(const std::byte* bytes, std::size_t n) {
+  if (bytes == nullptr || n < kReplicaHeaderBytes) return std::nullopt;
+  long header[5];
+  std::memcpy(header, bytes, kReplicaHeaderBytes);
+  ReplicaHeader h;
+  h.grid = static_cast<int>(header[0]);
+  h.grank = static_cast<int>(header[1]);
+  h.step = header[2];
+  h.count = header[3];
+  h.crc = static_cast<std::uint32_t>(header[4]);
   // Compare the count with the payload present rather than multiplying it:
   // a flipped high bit would wrap count * 8 back to the true size.
-  const std::size_t payload = n - kHeaderBytes;
-  if (count < 0 || payload % sizeof(double) != 0 ||
-      static_cast<std::size_t>(count) != payload / sizeof(double)) {
+  const std::size_t payload = n - kReplicaHeaderBytes;
+  if (h.count < 0 || payload % sizeof(double) != 0 ||
+      static_cast<std::size_t>(h.count) != payload / sizeof(double)) {
     return std::nullopt;
   }
-  m.data.resize(static_cast<size_t>(count));
-  if (count > 0) {
-    std::memcpy(m.data.data(), bytes + kHeaderBytes,
-                static_cast<std::size_t>(count) * sizeof(double));
+  if (snapshot_crc(h.step, bytes + kReplicaHeaderBytes, static_cast<std::size_t>(h.count)) !=
+      h.crc) {
+    return std::nullopt;
   }
-  if (snapshot_crc(m.step, m.data) != m.crc) return std::nullopt;
-  return m;
+  return h;
 }
 
 // --- store ------------------------------------------------------------------
 
-void BuddyStore::put(ftmpi::ProcId holder, int grid, int grank, long step,
-                     std::vector<double> data, std::uint32_t crc) {
+void BuddyStore::put(ftmpi::ProcId holder, std::vector<std::byte> wire) {
+  if (wire.size() < kReplicaHeaderBytes) return;
+  long header[3];
+  std::memcpy(header, wire.data(), sizeof(header));
+  const int grid = static_cast<int>(header[0]);
+  const int grank = static_cast<int>(header[1]);
+  const long step = header[2];
+  const auto payload = static_cast<long>(wire.size() - kReplicaHeaderBytes);
   std::lock_guard<std::mutex> lock(mu_);
   Slot& slot = slots_[Key{holder, grid, grank}];
-  if (slot.newest.step == step) {
-    slot.newest = Generation{step, std::move(data), crc};  // refresh in place
-  } else {
-    slot.prev = std::move(slot.newest);
-    slot.newest = Generation{step, std::move(data), crc};
-  }
+  if (slot.newest.step != step) slot.prev = std::move(slot.newest);
+  slot.newest = Generation{step, std::move(wire)};  // a same-step put refreshes in place
   ++replications_;
-  replicated_bytes_ += static_cast<long>(slot.newest.data.size() * sizeof(double));
+  replicated_bytes_ += payload;
 }
 
 BuddyStore::Holding BuddyStore::holding(ftmpi::ProcId holder, int grid, int grank) const {
@@ -155,18 +180,18 @@ BuddyStore::Holding BuddyStore::holding(ftmpi::ProcId holder, int grid, int gran
   return Holding{it->second.newest.step, it->second.prev.step};
 }
 
-std::optional<BuddyStore::Replica> BuddyStore::read_at(ftmpi::ProcId holder, int grid,
-                                                       int grank, long step) const {
+std::optional<std::vector<std::byte>> BuddyStore::read_at(ftmpi::ProcId holder, int grid,
+                                                          int grank, long step) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = slots_.find(Key{holder, grid, grank});
   if (it == slots_.end()) return std::nullopt;
   for (const Generation* gen : {&it->second.newest, &it->second.prev}) {
     if (gen->step != step || step < 0) continue;
-    if (snapshot_crc(gen->step, gen->data) != gen->crc) {
+    if (!check_replica(gen->wire.data(), gen->wire.size()).has_value()) {
       ++corrupt_detected_;
       continue;
     }
-    return Replica{gen->step, gen->data};
+    return gen->wire;
   }
   return std::nullopt;
 }
@@ -174,12 +199,14 @@ std::optional<BuddyStore::Replica> BuddyStore::read_at(ftmpi::ProcId holder, int
 void BuddyStore::corrupt_newest(ftmpi::ProcId holder, int grid, int grank) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = slots_.find(Key{holder, grid, grank});
-  if (it == slots_.end() || it->second.newest.data.empty()) return;
-  double& first = it->second.newest.data.front();
+  if (it == slots_.end() || it->second.newest.wire.size() < kReplicaHeaderBytes + sizeof(double)) {
+    return;
+  }
+  std::byte* first = it->second.newest.wire.data() + kReplicaHeaderBytes;
   std::uint64_t bits = 0;
-  std::memcpy(&bits, &first, sizeof(bits));
+  std::memcpy(&bits, first, sizeof(bits));
   bits ^= 0xdeadbeefcafebabeULL;
-  std::memcpy(&first, &bits, sizeof(bits));
+  std::memcpy(first, &bits, sizeof(bits));
 }
 
 long BuddyStore::replications() const {
@@ -211,16 +238,16 @@ long newest_common_generation(const std::vector<std::set<long>>& held) {
 // --- replication / drain ----------------------------------------------------
 
 int buddy_send(const BuddyTopology& topo, const ftmpi::Comm& world, int grid, int grank,
-               long step, const std::vector<double>& data) {
+               long step, const ftr::grid::LocalField& f) {
   ftmpi::chaos_point("buddy.send");
   const int me = world.rank();
   const int dest = buddy_rank_of(topo, me);
   // A shrunken (degraded) world invalidates the rank->host map; callers
   // stop replicating then, this is just a belt-and-braces guard.
   if (dest < 0 || dest == me || dest >= world.size()) return ftmpi::kErrArg;
-  const auto buf = pack_replica(grid, grank, step, data);
   ftmpi::Request req;
-  const int rc = ftmpi::isend_bytes(buf.data(), buf.size(), dest, kTagBuddyRepl, world, &req);
+  const int rc = ftmpi::isend_bytes(pack_field_replica(grid, grank, step, f), dest,
+                                    kTagBuddyRepl, world, &req);
   // Eager sends complete at wait time; a wait error means the replica never
   // left this rank, which the caller must know about (the planner's buddy
   // rung counts on the generation landing).
@@ -233,26 +260,14 @@ int buddy_drain(BuddyStore& store, const ftmpi::Comm& world) {
   // repair the pre-failure world is revoked, but the replicas delivered on
   // it are still buffered and are exactly what the planner needs.
   int drained = 0;
-  for (;;) {
-    int flag = 0;
-    ftmpi::Status stat;
-    if (ftmpi::iprobe_buffered(ftmpi::kAnySource, kTagBuddyRepl, world, &flag, &stat) !=
-            ftmpi::kSuccess ||
-        flag == 0) {
-      break;
-    }
-    std::vector<std::byte> buf(static_cast<size_t>(stat.count));
-    if (ftmpi::recv_buffered(buf.data(), buf.size(), stat.source, kTagBuddyRepl, world,
-                             &stat) != ftmpi::kSuccess) {
-      break;
-    }
-    auto msg = unpack_replica(buf.data(), buf.size());
-    if (!msg.has_value()) {
+  std::vector<std::byte> wire;
+  while (ftmpi::recv_buffered(&wire, ftmpi::kAnySource, kTagBuddyRepl, world) ==
+         ftmpi::kSuccess) {
+    if (!check_replica(wire.data(), wire.size()).has_value()) {
       FTR_WARN("buddy: dropping replica that failed CRC/format validation");
       continue;
     }
-    store.put(ftmpi::self_pid(), msg->grid, msg->grank, msg->step, std::move(msg->data),
-              msg->crc);
+    store.put(ftmpi::self_pid(), std::move(wire));
     ++drained;
   }
   return drained;

@@ -16,6 +16,14 @@
 // are keyed by the *holder's pid*: a holder that dies loses its replicas,
 // and its respawned replacement starts empty — the diskless semantics.
 //
+// The wire buffer is the generation.  The owner packs each replica once,
+// straight from its field's rows into one byte vector (header, payload,
+// CRC), and sends it by move; the holder's drain takes the payload whole,
+// checks count and CRC in place and keeps that same vector in the store.
+// Steady-state replication therefore copies a block once and zero-fills
+// nothing.  A restore copies the stored bytes out once (the ship) and the
+// restored member copies them into its field once.
+//
 // The "buddy.send" chaos point fires at the entry of every replication
 // send, so chaos schedules can kill a process exactly at the replication
 // boundary.
@@ -32,6 +40,7 @@
 
 #include "ftmpi/comm.hpp"
 #include "ftmpi/types.hpp"
+#include "grid/decomposition.hpp"
 
 namespace ftr::rec {
 
@@ -76,49 +85,67 @@ int buddy_rank_of(const BuddyTopology& topo, int world_rank);
 std::vector<int> buddy_clients_of(const BuddyTopology& topo, int holder);
 
 /// Wire format of one replica message: a fixed header of 5 longs
-/// {grid, group rank, step, count, crc} followed by `count` doubles.
-/// An empty payload (count 0) is a valid "generation unavailable" marker.
+/// {grid, group rank, step, count, crc} followed by `count` doubles, with
+/// crc = snapshot_crc(step, payload).  An empty payload (count 0) is a
+/// valid "generation unavailable" marker.
+inline constexpr std::size_t kReplicaHeaderBytes = 5 * sizeof(long);
+
 std::vector<std::byte> pack_replica(int grid, int grank, long step,
                                     const std::vector<double>& data);
 
+/// The same bytes as pack_replica(grid, grank, step, f.pack_interior()),
+/// packed straight from the field's rows: one reserved buffer, the header
+/// and rows appended, the CRC written into the header last.
+FTR_HOT std::vector<std::byte> pack_field_replica(int grid, int grank, long step,
+                                                  const ftr::grid::LocalField& f);
+
+/// The header of a replica wire buffer.
+struct ReplicaHeader {
+  int grid = -1;
+  int grank = -1;
+  long step = -1;
+  long count = 0;  ///< payload doubles, at bytes + kReplicaHeaderBytes
+  std::uint32_t crc = 0;
+};
+/// Decode the header of `n` wire bytes and check count and CRC in place;
+/// nullopt on malformed or corrupt buffers (a count-0 marker checks out).
+FTR_HOT std::optional<ReplicaHeader> check_replica(const std::byte* bytes, std::size_t n);
+
+/// One staged replica generation: its key and its checked wire buffer.
 struct ReplicaMessage {
   int grid = -1;
   int grank = -1;
   long step = -1;
-  std::vector<double> data;
-  std::uint32_t crc = 0;
+  std::vector<std::byte> wire;  ///< pack_replica bytes, header included
 };
-/// Decode + CRC-verify `n` wire bytes; nullopt on malformed or corrupt
-/// messages (a count-0 marker decodes successfully with empty data).
-std::optional<ReplicaMessage> unpack_replica(const std::byte* bytes, std::size_t n);
 
 /// Thread-safe in-memory replica store shared by all simulated processes of
 /// a Runtime.  Keyed by (holder pid, grid, group rank) with two generations
 /// per key; replicas held by a dead pid are unreachable by construction
-/// (its respawned replacement runs under a fresh pid).
+/// (its respawned replacement runs under a fresh pid).  A generation is the
+/// replica's wire buffer itself.
 class BuddyStore {
  public:
-  struct Replica {
-    long step = -1;
-    std::vector<double> data;
-  };
   struct Holding {
     long newest = -1;  ///< step of the newest generation, -1 = none
     long prev = -1;    ///< step of the previous generation, -1 = none
   };
 
-  /// Store one generation under `holder`, demoting the current newest to
-  /// the previous slot.  `crc` is the sender-computed snapshot_crc.
-  void put(ftmpi::ProcId holder, int grid, int grank, long step,
-           std::vector<double> data, std::uint32_t crc);
+  /// Keep the wire buffer `wire` (pack_replica layout, checked by the
+  /// caller) under `holder` as the newest generation of the (grid, group
+  /// rank) in its header, demoting the current newest to the previous slot.
+  /// The vector itself is kept; no byte is copied.  Buffers shorter than
+  /// the header are ignored.
+  void put(ftmpi::ProcId holder, std::vector<std::byte> wire);
 
   /// Steps of the generations `holder` keeps for (grid, grank).
   [[nodiscard]] Holding holding(ftmpi::ProcId holder, int grid, int grank) const;
 
-  /// The generation taken exactly at `step` (newest or previous),
-  /// CRC-verified; nullopt when neither generation matches and validates.
-  [[nodiscard]] std::optional<Replica> read_at(ftmpi::ProcId holder, int grid, int grank,
-                                               long step) const;
+  /// A copy of the wire buffer of the generation taken exactly at `step`
+  /// (newest or previous), CRC-verified; nullopt when neither generation
+  /// matches and validates.
+  [[nodiscard]] std::optional<std::vector<std::byte>> read_at(ftmpi::ProcId holder, int grid,
+                                                              int grank, long step) const;
 
   /// Flip payload bytes of the newest generation so CRC validation fails
   /// (tests and chaos drills).
@@ -131,8 +158,7 @@ class BuddyStore {
  private:
   struct Generation {
     long step = -1;
-    std::vector<double> data;
-    std::uint32_t crc = 0;
+    std::vector<std::byte> wire;
   };
   struct Slot {
     Generation newest;
@@ -155,18 +181,20 @@ class BuddyStore {
 /// it is the older generation every member still holds (4).
 [[nodiscard]] long newest_common_generation(const std::vector<std::set<long>>& held);
 
-/// Stream the caller's block to its buddy over `world` (nonblocking eager
+/// Stream the caller's block `f` to its buddy over `world`: pack it with
+/// pack_field_replica and send that buffer by move (nonblocking eager
 /// send: only the injection overhead is charged to the caller, the wire
 /// time overlaps).  Fires the "buddy.send" chaos point at entry.  Errors
 /// are returned but safe to ignore — replication is best-effort and a
 /// failed buddy surfaces at the next detection point.
 FTR_NODISCARD int buddy_send(const BuddyTopology& topo, const ftmpi::Comm& world, int grid, int grank,
-               long step, const std::vector<double>& data);
+               long step, const ftr::grid::LocalField& f);
 
 /// Drain pending replica messages addressed to the caller into `store`
-/// under the caller's pid.  Non-blocking; returns the number of replicas
-/// stored.  Must run on the communicator the replicas were sent on — the
-/// caller drains before any world swap.
+/// under the caller's pid: each recv_buffered payload is checked in place
+/// and kept as the generation.  Non-blocking; returns the number of
+/// replicas stored.  Must run on the communicator the replicas were sent
+/// on — the caller drains before any world swap.
 int buddy_drain(BuddyStore& store, const ftmpi::Comm& world);
 
 }  // namespace ftr::rec

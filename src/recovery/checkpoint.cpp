@@ -72,14 +72,17 @@ std::string CheckpointStore::latest_path(int grid_id, int rank) const {
 }
 
 std::uint32_t snapshot_crc(long step, const std::vector<double>& data) {
-  const std::uint64_t n = data.size();
-  std::uint32_t c = crc32(&step, sizeof(step));
-  c = crc32(&n, sizeof(n), c);
-  return crc32(data.data(), n * sizeof(double), c);
+  return snapshot_crc(step, reinterpret_cast<const std::byte*>(data.data()), data.size());
 }
 
-void CheckpointStore::write(int grid_id, int rank, long step,
-                            const std::vector<double>& data) {
+std::uint32_t snapshot_crc(long step, const std::byte* payload, std::size_t count) {
+  const std::uint64_t n = count;
+  std::uint32_t c = crc32(&step, sizeof(step));
+  c = crc32(&n, sizeof(n), c);
+  return crc32(payload, n * sizeof(double), c);
+}
+
+void CheckpointStore::write(int grid_id, int rank, long step, std::vector<double> data) {
   // A chaos schedule may kill the writer here — "during a checkpoint
   // write".  Firing before any mutation means the previous snapshot stays
   // intact, which together with write-to-temp-then-rename is the whole
@@ -95,7 +98,7 @@ void CheckpointStore::write(int grid_id, int rank, long step,
     const std::pair<int, int> key{grid_id, rank};
     const auto it = mem_.find(key);
     if (it != mem_.end()) mem_prev_[key] = std::move(it->second);
-    mem_[key] = StoredSnapshot{step, data, crc};
+    mem_[key] = StoredSnapshot{step, std::move(data), crc};
     return;
   }
   const std::string path = path_for(grid_id, rank);

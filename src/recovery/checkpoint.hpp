@@ -18,6 +18,7 @@
 // bad.  Writes fire the "ckpt.write" chaos point, so chaos schedules can
 // kill a process mid-checkpoint.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -44,6 +45,8 @@ struct CheckpointPolicy {
 /// every stored snapshot, disk checkpoints and buddy replicas alike, and of
 /// the replica wire format.
 std::uint32_t snapshot_crc(long step, const std::vector<double>& data);
+/// The same CRC over `count` doubles stored as raw bytes at `payload`.
+std::uint32_t snapshot_crc(long step, const std::byte* payload, std::size_t count);
 
 /// Thread-safe checkpoint store shared by all simulated processes of a
 /// Runtime.  Keyed by (grid id, group rank); each write supersedes the
@@ -65,8 +68,9 @@ class CheckpointStore {
   /// Write a checkpoint of `data` taken at `step`.  Must be called from a
   /// rank: charges one disk write to the caller's virtual clock and
   /// fires the "ckpt.write" chaos point before touching any state, so an
-  /// injected mid-write death leaves the previous snapshot intact.
-  void write(int grid_id, int rank, long step, const std::vector<double>& data);
+  /// injected mid-write death leaves the previous snapshot intact.  The
+  /// memory backend keeps `data` itself, so pass a temporary or move.
+  void write(int grid_id, int rank, long step, std::vector<double> data);
 
   /// Read the most recent *valid* checkpoint, charging one disk read.
   /// A corrupt newest generation falls back to the previous one; returns

@@ -111,19 +111,28 @@ TEST(OverlapManifest, PackUnpackRoundTrip) {
   reps[0].grid = 1;
   reps[0].grank = 0;
   reps[0].step = 12;
-  reps[0].data = {1.0, 2.0, 3.0};
+  reps[0].wire = ftr::rec::pack_replica(1, 0, 12, {1.0, 2.0, 3.0});
   reps[1].grid = 1;
   reps[1].grank = 1;
   reps[1].step = 12;
-  reps[1].data = {4.0, 5.0};
+  reps[1].wire = ftr::rec::pack_replica(1, 1, 12, {4.0, 5.0});
   const auto bytes = overlap::pack_manifest(reps);
+  // [n] then [nbytes][wire] per record.
+  ASSERT_EQ(bytes.size(), 3 * sizeof(long) + reps[0].wire.size() + reps[1].wire.size());
   const auto back = overlap::unpack_manifest(bytes.data(), bytes.size());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].grid, 1);
   EXPECT_EQ(back[0].grank, 0);
   EXPECT_EQ(back[0].step, 12);
-  EXPECT_EQ(back[0].data, reps[0].data);
-  EXPECT_EQ(back[1].data, reps[1].data);
+  EXPECT_EQ(back[0].wire, reps[0].wire);
+  EXPECT_EQ(back[1].grank, 1);
+  EXPECT_EQ(back[1].wire, reps[1].wire);
+  // A record that fails its CRC is dropped and the rest kept.
+  auto torn = bytes;
+  torn[2 * sizeof(long) + ftr::rec::kReplicaHeaderBytes] ^= std::byte{0x01};
+  const auto kept = overlap::unpack_manifest(torn.data(), torn.size());
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].wire, reps[1].wire);
   // The empty manifest is valid wire traffic (every survivor sends one).
   const auto none = overlap::pack_manifest({});
   EXPECT_TRUE(overlap::unpack_manifest(none.data(), none.size()).empty());

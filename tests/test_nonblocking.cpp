@@ -219,3 +219,149 @@ TEST(Nonblocking, ProbeWakesOnLateMessageWhileSenderLives) {
     ASSERT_EQ(answer.load(), 7) << "run " << run;
   }
 }
+
+// A receive that test() completes with a failure must run the request's
+// communicator error handler once, as wait() on the same request does.
+TEST(Nonblocking, TestRunsTheErrorHandlerLikeWait) {
+  Runtime rt;
+  std::atomic<int> test_rc{-1}, test_flag{-1}, test_null{-1}, test_calls{-1};
+  std::atomic<int> wait_rc{-1}, wait_calls{-1};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    if (w.rank() == 1) abort_self();
+    while (!runtime().is_dead(w.group().pids[1])) yield();
+    int calls = 0;
+    ASSERT_EQ(comm_set_errhandler(w, [&calls](Comm&, int&) { ++calls; }), kSuccess);
+    int v = 0;
+    Request req;
+    ASSERT_EQ(irecv(&v, 1, 1, 0, w, &req), kSuccess);
+    int flag = 0;
+    test_rc = test(&req, &flag);
+    test_flag = flag;
+    test_null = req.is_null() ? 1 : 0;
+    test_calls = calls;
+    Request again;
+    ASSERT_EQ(irecv(&v, 1, 1, 0, w, &again), kSuccess);
+    wait_rc = wait(&again);
+    wait_calls = calls - test_calls.load();
+  });
+  rt.run("main", 2);
+  EXPECT_EQ(test_rc.load(), kErrProcFailed);
+  EXPECT_EQ(test_flag.load(), 1);
+  EXPECT_EQ(test_null.load(), 1);
+  EXPECT_EQ(test_calls.load(), 1);
+  EXPECT_EQ(wait_rc.load(), kErrProcFailed);
+  EXPECT_EQ(wait_calls.load(), 1);
+}
+
+// --- payloads passed by ownership --------------------------------------------
+
+namespace {
+
+std::vector<std::byte> numbered_payload(std::size_t n, int seed) {
+  std::vector<std::byte> p(n);
+  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::byte>((i * 7 + seed) & 0xff);
+  return p;
+}
+
+}  // namespace
+
+// A payload sent by move arrives in the buffer the sender filled: the same
+// data() pointer through send_bytes and isend_bytes into recv_bytes and
+// recv_buffered, the last also on a revoked communicator.
+TEST(MovedPayload, ArrivesInTheBufferTheSenderFilled) {
+  Runtime rt;
+  constexpr int kMsgs = 4;
+  std::atomic<const std::byte*> sent[kMsgs] = {};
+  std::atomic<const std::byte*> got[kMsgs] = {};
+  std::atomic<int> bad{0};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    Comm dup;
+    ASSERT_EQ(comm_dup(w, &dup), kSuccess);
+    if (w.rank() == 0) {
+      for (int m = 0; m < kMsgs; ++m) {
+        auto p = numbered_payload(1000 + 100 * static_cast<std::size_t>(m), m);
+        sent[m] = p.data();
+        int rc = kSuccess;
+        if (m % 2 == 0) {
+          rc = send_bytes(std::move(p), 1, m, dup);
+        } else {
+          Request req;
+          rc = isend_bytes(std::move(p), 1, m, dup, &req);
+          if (rc == kSuccess) rc = wait(&req);
+        }
+        bad += rc != kSuccess;
+        bad += !p.empty();  // the buffer went with the message
+      }
+    }
+    ASSERT_EQ(barrier(w), kSuccess);
+    if (w.rank() == 1) {
+      for (int m = 0; m < kMsgs; ++m) {
+        if (m == kMsgs - 1) {
+          ASSERT_EQ(comm_revoke(dup), kSuccess);
+        }
+        std::vector<std::byte> p(3);  // whatever it held is released
+        Status st;
+        const int rc = m < 2 ? recv_bytes(&p, 0, m, dup, &st) : recv_buffered(&p, 0, m, dup, &st);
+        bad += rc != kSuccess;
+        bad += p != numbered_payload(1000 + 100 * static_cast<std::size_t>(m), m);
+        bad += st.count != static_cast<int>(p.size()) || st.source != 0 || st.tag != m;
+        got[m] = p.data();
+      }
+    }
+    ASSERT_EQ(barrier(w), kSuccess);
+    ASSERT_EQ(comm_free(&dup), kSuccess);
+  });
+  rt.run("main", 2);
+  EXPECT_EQ(bad.load(), 0);
+  for (int m = 0; m < kMsgs; ++m) {
+    EXPECT_NE(sent[m].load(), nullptr) << "message " << m;
+    EXPECT_EQ(got[m].load(), sent[m].load()) << "message " << m;
+  }
+}
+
+// The pointer forms copy once and keep their rules: a payload longer than
+// the buffer fills it, returns kErrArg and runs the error handler (the
+// buffered salvage form runs none), and a shorter one fills a prefix.
+TEST(MovedPayload, PointerFormsKeepTheirRules) {
+  Runtime rt;
+  std::atomic<int> bad{0};
+  std::atomic<int> calls_after_long{-1}, calls_at_end{-1};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    Comm dup;
+    ASSERT_EQ(comm_dup(w, &dup), kSuccess);
+    if (w.rank() == 0) {
+      const int eight[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+      ASSERT_EQ(send(eight, 8, 1, 1, dup), kSuccess);
+      ASSERT_EQ(send(eight, 2, 1, 2, dup), kSuccess);
+      ASSERT_EQ(send(eight, 8, 1, 3, dup), kSuccess);
+    }
+    ASSERT_EQ(barrier(w), kSuccess);
+    if (w.rank() == 1) {
+      int calls = 0;
+      ASSERT_EQ(comm_set_errhandler(dup, [&calls](Comm&, int&) { ++calls; }), kSuccess);
+      int four[4] = {-1, -1, -1, -1};
+      Status st;
+      bad += recv(four, 4, 0, 1, dup, &st) != kErrArg;
+      bad += four[0] != 1 || four[3] != 4;
+      bad += st.count != 4 * static_cast<int>(sizeof(int)) || st.error != kErrArg;
+      calls_after_long = calls;
+      int prefix[4] = {-1, -1, -1, -1};
+      bad += recv(prefix, 4, 0, 2, dup, &st) != kSuccess;
+      bad += prefix[0] != 1 || prefix[1] != 2 || prefix[2] != -1 || prefix[3] != -1;
+      bad += st.count != 2 * static_cast<int>(sizeof(int)) || st.error != kSuccess;
+      int salvage[4] = {-1, -1, -1, -1};
+      bad += recv_buffered(salvage, sizeof(salvage), 0, 3, dup, &st) != kErrArg;
+      bad += salvage[3] != 4 || st.count != static_cast<int>(sizeof(salvage));
+      calls_at_end = calls;
+    }
+    ASSERT_EQ(barrier(w), kSuccess);
+    ASSERT_EQ(comm_free(&dup), kSuccess);
+  });
+  rt.run("main", 2);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(calls_after_long.load(), 1);
+  EXPECT_EQ(calls_at_end.load(), 1);
+}

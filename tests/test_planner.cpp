@@ -13,13 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/chaos.hpp"
 #include "core/ft_app.hpp"
 #include "core/layout.hpp"
+#include "ftmpi/api.hpp"
+#include "ftmpi/request.hpp"
 #include "ftmpi/runtime.hpp"
 #include "recovery/buddy.hpp"
 #include "recovery/checkpoint.hpp"
@@ -272,21 +277,46 @@ TEST(BuddyPlacement, ClientsAreTheInverseOfBuddyRankOf) {
 
 // --- replica store ----------------------------------------------------------
 
+namespace {
+
+/// The payload doubles of a replica wire buffer.
+std::vector<double> payload_of(const std::vector<std::byte>& wire) {
+  std::vector<double> v((wire.size() - ftr::rec::kReplicaHeaderBytes) / sizeof(double));
+  if (!v.empty()) {
+    std::memcpy(v.data(), wire.data() + ftr::rec::kReplicaHeaderBytes, v.size() * sizeof(double));
+  }
+  return v;
+}
+
+/// A field whose every storage cell (halos and padding too) holds its own
+/// value, so a pack that reads a wrong cell shows.
+ftr::grid::LocalField numbered_field(int w, int h) {
+  ftr::grid::LocalField f(ftr::grid::Block{3, 3 + w, 5, 5 + h});
+  for (std::size_t i = 0; i < f.raw().size(); ++i) {
+    f.raw()[i] = 0.125 * static_cast<double>(i) - 7.0;
+  }
+  return f;
+}
+
+}  // namespace
+
 TEST(BuddyStore, KeepsTwoCrcVerifiedGenerations) {
   BuddyStore store;
   const std::vector<double> g8{1.0, 2.0, 3.0};
   const std::vector<double> g16{4.0, 5.0, 6.0};
-  store.put(7, 1, 0, 8, g8, ftr::rec::snapshot_crc(8, g8));
-  store.put(7, 1, 0, 16, g16, ftr::rec::snapshot_crc(16, g16));
+  store.put(7, ftr::rec::pack_replica(1, 0, 8, g8));
+  store.put(7, ftr::rec::pack_replica(1, 0, 16, g16));
   const auto h = store.holding(7, 1, 0);
   EXPECT_EQ(h.newest, 16);
   EXPECT_EQ(h.prev, 8);
-  EXPECT_EQ(store.read_at(7, 1, 0, 16).value().data, g16);
-  EXPECT_EQ(store.read_at(7, 1, 0, 8).value().data, g8);
+  EXPECT_EQ(payload_of(store.read_at(7, 1, 0, 16).value()), g16);
+  EXPECT_EQ(payload_of(store.read_at(7, 1, 0, 8).value()), g8);
+  // A generation reads back as the wire buffer it was stored as.
+  EXPECT_EQ(store.read_at(7, 1, 0, 16).value(), ftr::rec::pack_replica(1, 0, 16, g16));
   EXPECT_FALSE(store.read_at(7, 1, 0, 12).has_value());
   // A third generation demotes; the oldest is gone.
   const std::vector<double> g24{7.0};
-  store.put(7, 1, 0, 24, g24, ftr::rec::snapshot_crc(24, g24));
+  store.put(7, ftr::rec::pack_replica(1, 0, 24, g24));
   EXPECT_FALSE(store.read_at(7, 1, 0, 8).has_value());
   EXPECT_EQ(store.holding(7, 1, 0).prev, 16);
   // Replicas are keyed by holder pid: another pid sees nothing (diskless
@@ -294,6 +324,8 @@ TEST(BuddyStore, KeepsTwoCrcVerifiedGenerations) {
   EXPECT_EQ(store.holding(8, 1, 0).newest, -1);
   EXPECT_GE(store.replications(), 3);
   EXPECT_GT(store.replicated_bytes(), 0);
+  // Payload bytes only, headers not counted.
+  EXPECT_EQ(store.replicated_bytes(), static_cast<long>((3 + 3 + 1) * sizeof(double)));
 }
 
 TEST(BuddyStore, CorruptNewestFailsCrcAndPrevSurvives) {
@@ -304,12 +336,12 @@ TEST(BuddyStore, CorruptNewestFailsCrcAndPrevSurvives) {
     g8[i] = 1.5 + static_cast<double>(i);
     g16[i] = -3.5 * static_cast<double>(i);
   }
-  store.put(3, 0, 1, 8, g8, ftr::rec::snapshot_crc(8, g8));
-  store.put(3, 0, 1, 16, g16, ftr::rec::snapshot_crc(16, g16));
+  store.put(3, ftr::rec::pack_replica(0, 1, 8, g8));
+  store.put(3, ftr::rec::pack_replica(0, 1, 16, g16));
   store.corrupt_newest(3, 0, 1);
   EXPECT_FALSE(store.read_at(3, 0, 1, 16).has_value());
   EXPECT_GE(store.corrupt_detected(), 1);
-  EXPECT_EQ(store.read_at(3, 0, 1, 8).value().data, g8);
+  EXPECT_EQ(payload_of(store.read_at(3, 0, 1, 8).value()), g8);
 }
 
 TEST(BuddyGeneration, NewestStepEveryMemberHolds) {
@@ -331,24 +363,26 @@ TEST(BuddyGeneration, NewestStepEveryMemberHolds) {
 TEST(BuddyWire, PackUnpackRoundTripAndRejection) {
   const std::vector<double> data{0.25, -1.0, 9.5};
   auto buf = ftr::rec::pack_replica(2, 1, 12, data);
-  auto msg = ftr::rec::unpack_replica(buf.data(), buf.size());
+  auto msg = ftr::rec::check_replica(buf.data(), buf.size());
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->grid, 2);
   EXPECT_EQ(msg->grank, 1);
   EXPECT_EQ(msg->step, 12);
-  EXPECT_EQ(msg->data, data);
+  EXPECT_EQ(msg->count, 3);
+  EXPECT_EQ(payload_of(buf), data);
 
   // Count-0 marker: valid, empty payload (the "generation vanished" reply).
   auto marker = ftr::rec::pack_replica(2, 1, 12, {});
-  auto decoded = ftr::rec::unpack_replica(marker.data(), marker.size());
+  auto decoded = ftr::rec::check_replica(marker.data(), marker.size());
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->data.empty());
+  EXPECT_EQ(decoded->count, 0);
+  EXPECT_TRUE(payload_of(marker).empty());
 
   // Truncation and corruption are rejected, not mis-decoded.
-  EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), buf.size() - 1).has_value());
-  EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), 3).has_value());
+  EXPECT_FALSE(ftr::rec::check_replica(buf.data(), buf.size() - 1).has_value());
+  EXPECT_FALSE(ftr::rec::check_replica(buf.data(), 3).has_value());
   buf[buf.size() - 2] ^= std::byte{0x40};
-  EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), buf.size()).has_value());
+  EXPECT_FALSE(ftr::rec::check_replica(buf.data(), buf.size()).has_value());
 }
 
 TEST(BuddyWire, CountWithAFlippedHighBitIsRejected) {
@@ -357,9 +391,115 @@ TEST(BuddyWire, CountWithAFlippedHighBitIsRejected) {
   // rather than try to allocate 2^61 doubles.
   const std::vector<double> data(64, 0.5);
   auto buf = ftr::rec::pack_replica(1, 0, 8, data);
-  ASSERT_TRUE(ftr::rec::unpack_replica(buf.data(), buf.size()).has_value());
+  ASSERT_TRUE(ftr::rec::check_replica(buf.data(), buf.size()).has_value());
   buf[3 * sizeof(long) + 7] ^= std::byte{0x20};
-  EXPECT_FALSE(ftr::rec::unpack_replica(buf.data(), buf.size()).has_value());
+  EXPECT_FALSE(ftr::rec::check_replica(buf.data(), buf.size()).has_value());
+}
+
+TEST(BuddyWire, LayoutAndCrcValuesArePinned) {
+  // {grid, group rank, step, count, crc} as five longs, then the doubles;
+  // the CRC values are the ones every earlier replica and checkpoint
+  // carried.
+  const std::vector<double> data{0.25, -1.0, 9.5};
+  const auto buf = ftr::rec::pack_replica(2, 1, 12, data);
+  ASSERT_EQ(buf.size(), 5 * sizeof(long) + 3 * sizeof(double));
+  long header[5];
+  std::memcpy(header, buf.data(), sizeof(header));
+  EXPECT_EQ(header[0], 2);
+  EXPECT_EQ(header[1], 1);
+  EXPECT_EQ(header[2], 12);
+  EXPECT_EQ(header[3], 3);
+  EXPECT_EQ(header[4], 0x00d010a1L);
+  EXPECT_EQ(ftr::rec::snapshot_crc(12, data), 0x00d010a1u);
+  EXPECT_EQ(std::memcmp(buf.data() + 5 * sizeof(long), data.data(), 3 * sizeof(double)), 0);
+  EXPECT_EQ(ftr::rec::snapshot_crc(12, std::vector<double>{}), 0x4b99989du);
+  std::vector<double> big(4096);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = 0.001 * static_cast<double>(i) - 1.5;
+  EXPECT_EQ(ftr::rec::snapshot_crc(96, big), 0xf5bcc09au);
+  EXPECT_EQ(ftr::rec::snapshot_crc(96, reinterpret_cast<const std::byte*>(big.data()), big.size()),
+            0xf5bcc09au);
+}
+
+TEST(BuddyWire, FieldPackMatchesPackReplicaOfTheInterior) {
+  // Packing straight from the rows gives the bytes and CRC of packing the
+  // interior first, into a buffer allocated once at its final size, at
+  // every block width from 1 to 40 (every tail of the 8-double row
+  // alignment) and heights 1 to 3.
+  for (int w = 1; w <= 40; ++w) {
+    for (int h = 1; h <= 3; ++h) {
+      const auto f = numbered_field(w, h);
+      const auto want = ftr::rec::pack_replica(4, 2, 96, f.pack_interior());
+      const auto got = ftr::rec::pack_field_replica(4, 2, 96, f);
+      EXPECT_EQ(got, want) << "width " << w << ", height " << h;
+      EXPECT_EQ(got.capacity(), got.size()) << "width " << w << ", height " << h;
+      const auto head = ftr::rec::check_replica(got.data(), got.size());
+      ASSERT_TRUE(head.has_value()) << "width " << w << ", height " << h;
+      EXPECT_EQ(head->crc, ftr::rec::snapshot_crc(96, f.pack_interior()));
+      EXPECT_EQ(head->count, static_cast<long>(w) * h);
+    }
+  }
+}
+
+TEST(BuddyDrain, KeepsTheSentBufferAndRejectsCorruptReplicas) {
+  // An owner streams four replicas of a 64 x 64 block (one overlap
+  // replica) to its holder: good at step 8, a flipped payload bit and a
+  // flipped bit 61 of the count at step 12, good at step 16.  The drain
+  // stores the two good ones and drops the others.  No buffer of replica
+  // size is allocated but the owner's four packs: the drain keeps the
+  // payload it received, which is the buffer the owner packed.
+  constexpr int kSide = 64;
+  const std::size_t replica_bytes =
+      ftr::rec::kReplicaHeaderBytes + kSide * kSide * sizeof(double);
+  ftmpi::Runtime rt;
+  BuddyStore store;
+  std::atomic<int> drained{-1};
+  std::atomic<int> sent_ok{0};
+  std::atomic<long> big_allocs{-1};
+  std::atomic<ftmpi::ProcId> holder{ftmpi::kNullProc};
+  const auto field = numbered_field(kSide, kSide);
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    ftmpi::Comm& w = ftmpi::world();
+    const auto send = [&](std::vector<std::byte> wire) {
+      ftmpi::Request req;
+      sent_ok += ftmpi::isend_bytes(std::move(wire), 1, ftr::rec::kTagBuddyRepl, w, &req) ==
+                     ftmpi::kSuccess &&
+                 ftmpi::wait(&req) == ftmpi::kSuccess;
+    };
+    ASSERT_EQ(ftmpi::barrier(w), ftmpi::kSuccess);
+    if (w.rank() == 0) {
+      ftr_test::arm_alloc_count(replica_bytes);
+      send(ftr::rec::pack_field_replica(0, 0, 8, field));
+      auto bad_payload = ftr::rec::pack_field_replica(0, 0, 12, field);
+      bad_payload[ftr::rec::kReplicaHeaderBytes + 5] ^= std::byte{0x10};
+      send(std::move(bad_payload));
+      auto bad_count = ftr::rec::pack_field_replica(0, 0, 12, field);
+      bad_count[3 * sizeof(long) + 7] ^= std::byte{0x20};
+      send(std::move(bad_count));
+      send(ftr::rec::pack_field_replica(0, 0, 16, field));
+    }
+    ASSERT_EQ(ftmpi::barrier(w), ftmpi::kSuccess);
+    if (w.rank() == 1) {
+      drained = ftr::rec::buddy_drain(store, w);
+      holder = ftmpi::self_pid();
+    }
+    ASSERT_EQ(ftmpi::barrier(w), ftmpi::kSuccess);
+    if (w.rank() == 0) big_allocs = ftr_test::disarm_alloc_count();
+  });
+  rt.run("main", 2);
+  EXPECT_EQ(sent_ok.load(), 4);
+  EXPECT_EQ(drained.load(), 2);
+  EXPECT_EQ(big_allocs.load(), 4);
+  const auto h = store.holding(holder.load(), 0, 0);
+  EXPECT_EQ(h.newest, 16);
+  EXPECT_EQ(h.prev, 8);
+  EXPECT_EQ(store.replications(), 2);
+  EXPECT_EQ(store.read_at(holder.load(), 0, 0, 8).value(),
+            ftr::rec::pack_replica(0, 0, 8, field.pack_interior()));
+  // A corrupted stored generation still falls back to the previous one.
+  store.corrupt_newest(holder.load(), 0, 0);
+  EXPECT_FALSE(store.read_at(holder.load(), 0, 0, 16).has_value());
+  EXPECT_EQ(store.corrupt_detected(), 1);
+  EXPECT_EQ(payload_of(store.read_at(holder.load(), 0, 0, 8).value()), field.pack_interior());
 }
 
 // --- end-to-end -------------------------------------------------------------

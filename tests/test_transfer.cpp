@@ -5,15 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "advection/lax_wendroff.hpp"
+#include "alloc_counter.hpp"
 #include "combination/combine.hpp"
+#include "ftmpi/api.hpp"
+#include "ftmpi/runtime.hpp"
 #include "grid/decomposition.hpp"
 #include "grid/grid2d.hpp"
+#include "grid/halo.hpp"
 #include "grid/sampling.hpp"
 #include "grid/transfer.hpp"
 
@@ -268,16 +275,9 @@ TEST(Sweeps, LocalFieldSweepsMatchSerialOnSingleBlock) {
   const int ny = g.ny() - 1;
   LocalField f(Block{0, nx, 0, ny});
   f.load_from(g);
-  auto& hs = f.halo_scratch();
-  f.pack_column_into(nx - 1, hs.send[0]);
-  f.unpack_halo_column(-1, hs.send[0]);
-  f.pack_column_into(0, hs.send[1]);
-  f.unpack_halo_column(nx, hs.send[1]);
+  f.wrap_x();
   ftr::advection::sweep_x(f, 0.25);
-  f.pack_row_into(ny - 1, hs.send[0]);
-  f.unpack_halo_row(-1, hs.send[0]);
-  f.pack_row_into(0, hs.send[1]);
-  f.unpack_halo_row(ny, hs.send[1]);
+  f.wrap_y();
   ftr::advection::sweep_y(f, 0.35);
 
   Grid2D out(Level{4, 4});
@@ -355,16 +355,91 @@ TEST(HaloScratch, PackIntoReusesCapacity) {
   for (int ly = 0; ly < 6; ++ly) {
     for (int lx = 0; lx < 8; ++lx) f.at(lx, ly) = lx + 100.0 * ly;
   }
-  auto& hs = f.halo_scratch();
-  f.pack_column_into(3, hs.send[0]);
-  ASSERT_EQ(hs.send[0].size(), 6u);
-  for (int ly = 0; ly < 6; ++ly) EXPECT_EQ(hs.send[0][static_cast<size_t>(ly)], 3 + 100.0 * ly);
-  const double* before = hs.send[0].data();
-  f.pack_column_into(5, hs.send[0]);  // same size: no reallocation
-  EXPECT_EQ(hs.send[0].data(), before);
-  for (int ly = 0; ly < 6; ++ly) EXPECT_EQ(hs.send[0][static_cast<size_t>(ly)], 5 + 100.0 * ly);
+  const auto value = [](const std::vector<std::byte>& p, int i) {
+    double v = 0;
+    std::memcpy(&v, p.data() + static_cast<size_t>(i) * sizeof(double), sizeof(double));
+    return v;
+  };
+  std::vector<std::byte> column;
+  f.pack_column_bytes(3, column);
+  ASSERT_EQ(column.size(), 6 * sizeof(double));
+  for (int ly = 0; ly < 6; ++ly) EXPECT_EQ(value(column, ly), 3 + 100.0 * ly);
+  const std::byte* before = column.data();
+  f.pack_column_bytes(5, column);  // same size: no reallocation
+  EXPECT_EQ(column.data(), before);
+  for (int ly = 0; ly < 6; ++ly) EXPECT_EQ(value(column, ly), 5 + 100.0 * ly);
 
-  f.pack_row_into(2, hs.send[1]);
-  ASSERT_EQ(hs.send[1].size(), 8u);
-  for (int lx = 0; lx < 8; ++lx) EXPECT_EQ(hs.send[1][static_cast<size_t>(lx)], lx + 200.0);
+  std::vector<std::byte> row;
+  f.pack_row_bytes(2, row);
+  ASSERT_EQ(row.size(), 8 * sizeof(double));
+  for (int lx = 0; lx < 8; ++lx) EXPECT_EQ(value(row, lx), lx + 200.0);
+
+  // The payloads land in the halo ring only: a full payload fills the whole
+  // halo column / row, a shorter one a prefix.
+  f.fill_halo_column(-1, column);
+  f.fill_halo_row(6, row);
+  for (int ly = 0; ly < 6; ++ly) EXPECT_EQ(f.at(-1, ly), 5 + 100.0 * ly);
+  for (int lx = 0; lx < 8; ++lx) EXPECT_EQ(f.at(lx, 6), lx + 200.0);
+  column.resize(2 * sizeof(double));
+  f.fill_halo_column(8, column);
+  EXPECT_EQ(f.at(8, 0), 5.0);
+  EXPECT_EQ(f.at(8, 1), 105.0);
+  EXPECT_EQ(f.at(8, 2), 0.0);
+  EXPECT_EQ(f.at(-1, -1), 0.0);  // corners untouched
+  EXPECT_EQ(f.at(8, 6), 0.0);
+}
+
+TEST(HaloExchange, SteadyStateAllocatesNoEdgeBuffer) {
+  // 2 x 2 ranks over 512 x 512 points: every edge is 256 doubles (2 KiB),
+  // more than any message bookkeeping allocates.  After one warm-up
+  // exchange each payload circulates at its edge's size, so 100 rounds of
+  // exchange_x plus exchange_y allocate no buffer that large.  Each round
+  // is checked against the neighbours' edges.
+  const Decomposition d(Level{9, 9}, 2, 2);
+  const std::size_t edge_bytes = 256 * sizeof(double);
+  ftmpi::Runtime rt;
+  std::atomic<int> bad{0};
+  std::atomic<long> big_allocs{-1};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    ftmpi::Comm& w = ftmpi::world();
+    const int me = w.rank();
+    LocalField f(d.block(me));
+    const auto fill = [&](int round) {
+      for (int ly = 0; ly < f.block().height(); ++ly) {
+        for (int lx = 0; lx < f.block().width(); ++lx) {
+          f.at(lx, ly) = 1e6 * round + 1e4 * me + 100.0 * ly + lx;
+        }
+      }
+    };
+    const auto check = [&](int round) {
+      const int wr = d.west(me), er = d.east(me), sr = d.south(me), nr = d.north(me);
+      const int last = 255;
+      for (int i = 0; i < 256; ++i) {
+        bad += f.at(-1, i) != 1e6 * round + 1e4 * wr + 100.0 * i + last;
+        bad += f.at(256, i) != 1e6 * round + 1e4 * er + 100.0 * i;
+        bad += f.at(i, -1) != 1e6 * round + 1e4 * sr + 100.0 * last + i;
+        bad += f.at(i, 256) != 1e6 * round + 1e4 * nr + i;
+      }
+    };
+    const auto exchange = [&] {
+      bad += ftr::grid::exchange_x(f, d, w) != ftmpi::kSuccess;
+      bad += ftr::grid::exchange_y(f, d, w) != ftmpi::kSuccess;
+    };
+    fill(0);
+    exchange();  // warm-up: the payloads take their edge sizes
+    check(0);
+    ASSERT_EQ(ftmpi::barrier(w), ftmpi::kSuccess);
+    if (me == 0) ftr_test::arm_alloc_count(edge_bytes);
+    ASSERT_EQ(ftmpi::barrier(w), ftmpi::kSuccess);
+    for (int round = 1; round <= 100; ++round) {
+      fill(round);
+      exchange();
+      check(round);
+    }
+    ASSERT_EQ(ftmpi::barrier(w), ftmpi::kSuccess);
+    if (me == 0) big_allocs = ftr_test::disarm_alloc_count();
+  });
+  rt.run("main", 4);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(big_allocs.load(), 0);
 }

@@ -10,7 +10,8 @@ Enforced rules (details in docs/ARCHITECTURE.md, "Enforced invariants"):
   FTL002  no raw MPI_Comm/MPI_Request/MPI_Info owned across an early return
           with a manual `*_free`; use the RAII guards (src/core/raii.hpp).
   FTL003  functions annotated FTR_HOT must be transitively allocation-free:
-          no new/malloc and no container growth anywhere they can reach.
+          no new/malloc, no container growth and no standard container
+          built with constructor arguments anywhere they can reach.
   FTL004  the shrink/agree/spawn/merge/replication protocol functions must
           contain a `chaos_point(...)` hook so fault injection reaches them.
   FTL005  collective matching (interprocedural, tools/ftlint/ftmodel.py): a

@@ -45,6 +45,14 @@ _ALLOC_MEMBERS = {
     "insert", "assign", "append",
 }
 _ALLOC_STD = {"make_unique", "make_shared"}
+# Standard containers whose construction with arguments allocates:
+# `std::vector<double> v(4);`, `std::vector<T>(n)`, `std::set<int> s{1, 2}`.
+# Declared empty (`std::vector<T> v;`, `v{}`) they allocate nothing.
+_ALLOC_CONTAINERS = {
+    "vector", "deque", "list", "forward_list", "string", "basic_string",
+    "map", "multimap", "set", "multiset", "unordered_map",
+    "unordered_multimap", "unordered_set", "unordered_multiset",
+}
 
 # FTL007: failure-detector wire formats.  A function that unpacks one of
 # these from a message payload consumes detector traffic and must validate
@@ -696,6 +704,8 @@ class Engine:
         prev = toks[i - 1].text if i > 0 else None
         if t == "new" and prev != "operator":
             return "new"
+        if t in _ALLOC_CONTAINERS:
+            return self._sized_container_at(sf, i)
         if nxt != "(":
             return None
         if t in _ALLOC_FREE_FUNCS and prev not in (".", "->"):
@@ -704,6 +714,40 @@ class Engine:
             return t
         if t in _ALLOC_STD:
             return t
+        return None
+
+    @staticmethod
+    def _sized_container_at(sf: SourceFile, i: int) -> str | None:
+        """`std::<container>` at token i built with constructor arguments:
+        a declaration `std::vector<double> v(4);` / `v{1, 2}` / `v = {1}`,
+        or a temporary `std::vector<T>(n)` / `std::vector<T>{x}`."""
+        toks = sf.tokens
+        if i < 2 or toks[i - 1].text != "::" or toks[i - 2].text != "std":
+            return None
+        k = i + 1
+        if k < len(toks) and toks[k].text == "<":
+            depth = 0
+            while k < len(toks):
+                text = toks[k].text
+                if text == "<":
+                    depth += 1
+                elif text == ">":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                elif text in (";", "{", "}"):
+                    return None  # a comparison, not a template argument list
+                k += 1
+            k += 1
+        if k < len(toks) and _is_name(toks[k].text):
+            k += 1  # the declared variable
+            if k < len(toks) and toks[k].text == "=":
+                k += 1
+                if k < len(toks) and toks[k].text != "{":
+                    return None  # copy-initialised from an expression
+        if (k + 1 < len(toks) and toks[k].text in ("(", "{")
+                and toks[k + 1].text not in (")", "}")):
+            return f"std::{toks[i].text}"
         return None
 
     # -- FTL004 -------------------------------------------------------------
