@@ -23,6 +23,15 @@
 //                  FTL008.  Expands to nothing; it is a marker for the
 //                  checker and for `ftlint --report=fiber`.
 //
+//   FTR_LOCK_SLEEP the contended path of a lock that sleeps on its lock
+//                  word (SpinSleepLock, src/ftmpi/spin_sleep_lock.hpp).  A
+//                  worker thread sleeps there only while another runs the
+//                  critical section and will release it; no rank suspends.
+//                  FTL008 therefore does not count a blocking primitive in
+//                  a marked function, neither as a finding nor as making it
+//                  may-yield.  A call from it to a may-yield function still
+//                  makes it may-yield.  Expands to nothing.
+//
 //   FTR_PER_RANK   thread_local registry (ftlint rule FTL009).  Ranks share
 //                  worker threads and a parked rank may resume on another
 //                  worker, so a `thread_local` is per worker: right for
@@ -52,4 +61,5 @@
 // Markers only — the compiler sees nothing; ftlint (FTL008/FTL009) and
 // `ftlint --report=fiber` key on the tokens.
 #define FTR_YIELD
+#define FTR_LOCK_SLEEP
 #define FTR_PER_RANK(note)

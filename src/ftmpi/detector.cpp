@@ -26,7 +26,7 @@ const Options& opts(const ProcessState& ps) { return ps.rt->options().detector; 
 /// traffic; they are counted in the message statistics and stamped with the
 /// usual network latency (for the detection-latency records), but never
 /// advance any virtual clock.
-void send_det(ProcessState& ps, ProcId dst, int tag, const std::vector<std::byte>& payload) {
+void send_det(ProcessState& ps, ProcId dst, int tag, std::vector<std::byte> payload) {
   if (dst == ps.pid) return;
   Runtime& rt = *ps.rt;
   const CostModel& cm = rt.cost();
@@ -36,9 +36,9 @@ void send_det(ProcessState& ps, ProcId dst, int tag, const std::vector<std::byte
   msg.tag = tag;
   msg.ctrl = true;
   msg.src_pid = ps.pid;
-  msg.payload = payload;
+  Runtime::record_message(ps, payload.size(), !same_host);
+  msg.payload = std::move(payload);
   msg.arrive = ps.vclock + cm.latency(same_host);
-  rt.record_message(payload.size(), !same_host);
   rt.deliver(dst, std::move(msg));
 }
 
@@ -214,7 +214,7 @@ void drain(ProcessState& ps) {
   if (ps.det_pending.load(std::memory_order_acquire) == 0) return;
   std::vector<Message> batch;
   {
-    std::lock_guard<std::mutex> lock(ps.mu);
+    std::lock_guard<SpinSleepLock> lock(ps.mu);
     for (auto it = ps.mailbox.begin(); it != ps.mailbox.end();) {
       if (it->ctrl && (it->tag == tags::kHeartbeat || it->tag == tags::kGossip)) {
         batch.push_back(std::move(*it));
@@ -258,7 +258,7 @@ void note_transport_failure(ProcessState& ps, ProcId dead) {
   confirm_failure(ps, dead, Source::kTransport, ps.pid, 0);
 }
 
-int observe_hopeless_wait(ProcessState& ps, const std::vector<ProcessState*>& watch) {
+int observe_hopeless_wait(ProcessState& ps, std::span<ProcessState* const> watch) {
   // Charge exactly what the legacy path charges: whether the detector had
   // already announced the death depends on real message-delivery races, so
   // any charge conditioned on it would break virtual-time determinism.  The

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "ftmpi/types.hpp"
@@ -168,7 +169,7 @@ void note_transport_failure(ProcessState& ps, ProcId dead);
 /// determinism), folds the deaths into detector knowledge so they gossip,
 /// and returns kErrProcFailed.
 [[nodiscard]] int observe_hopeless_wait(ProcessState& ps,
-                                        const std::vector<ProcessState*>& watch);
+                                        std::span<ProcessState* const> watch);
 
 /// True when ps already learned that pid failed.
 [[nodiscard]] bool knows(const ProcessState& ps, ProcId pid);

@@ -224,7 +224,7 @@ void on_thread_exit() {
 }
 
 void on_block(const char* op, std::uint64_t ctx, int tag,
-              const std::vector<ProcessState*>& watch, CommContext* revoke_ctx,
+              std::span<ProcessState* const> watch, CommContext* revoke_ctx,
               bool drains_detector, const std::atomic<std::uint64_t>* intr,
               std::uint64_t intr_expect, const std::atomic<std::uint64_t>* intr2,
               std::uint64_t intr2_expect, const char* file, int line) {

@@ -158,7 +158,7 @@ int iprobe(int src, int tag, const Comm& c, int* flag, Status* status) {
   ProcessState& ps = detail::self();
   int rc = kSuccess;
   {
-    std::lock_guard<std::mutex> lock(ps.mu);
+    std::lock_guard<SpinSleepLock> lock(ps.mu);
     rc = probe_locked(ps, src, tag, c, flag, status);
   }
   // Returned directly, not via finish(): mark the observation here.
@@ -175,7 +175,7 @@ FTR_YIELD int probe(int src, int tag, const Comm& c, Status* status) {
   ProcessState* sender = src == kAnySource ? nullptr : &detail::rt().proc(c.peer_pid(src));
   int rc = kSuccess;
   {
-    std::unique_lock<std::mutex> lock(ps.mu);
+    std::unique_lock<SpinSleepLock> lock(ps.mu);
     detail::ParkedScope parked(ps, sender, /*any_exit=*/false);
     for (;;) {
       if (ps.dead.load()) throw ProcessKilled{ps.pid};
@@ -203,7 +203,7 @@ int iprobe_buffered(int src, int tag, const Comm& c, int* flag, Status* status) 
   // No revoked check and no dead-peer reporting: whether a message already
   // sits in the mailbox is a local question, answerable on a broken world.
   ProcessState& ps = detail::self();
-  std::lock_guard<std::mutex> lock(ps.mu);
+  std::lock_guard<SpinSleepLock> lock(ps.mu);
   for (const Message& m : ps.mailbox) {
     if (!buffered_match(m, c, src, tag)) continue;
     *flag = 1;
@@ -224,7 +224,7 @@ int recv_buffered(std::vector<std::byte>* out, int src, int tag, const Comm& c,
   if (c.is_null()) return kErrComm;
   ProcessState& ps = detail::self();
   const CostModel& cm = detail::rt().cost();
-  std::unique_lock<std::mutex> lock(ps.mu);
+  std::unique_lock<SpinSleepLock> lock(ps.mu);
   for (auto it = ps.mailbox.begin(); it != ps.mailbox.end(); ++it) {
     if (!buffered_match(*it, c, src, tag)) continue;
     Message msg = std::move(*it);

@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <span>
 
 #include "common/logging.hpp"
 #include "ftmpi/api.hpp"
@@ -86,7 +87,7 @@ void post(ProcId dst, Message msg, std::size_t bytes) {
   ps.vclock += cm.send_overhead + cm.transfer_time(bytes, same_host);
   msg.src_pid = ps.pid;
   msg.arrive = ps.vclock + cm.latency(same_host);
-  r.record_message(bytes, !same_host);
+  Runtime::record_message(ps, bytes, !same_host);
   r.deliver(dst, std::move(msg));
 }
 
@@ -100,8 +101,10 @@ struct WaitSpec {
   const char* op = "recv";
   std::uint64_t dbg_ctx = 0;
   int dbg_tag = 0;
-  /// Senders whose collective death makes the wait hopeless.
-  std::vector<ProcessState*> watch;
+  /// Senders whose collective death makes the wait hopeless: a view of the
+  /// caller's array, which outlives the wait (a single sender's pointer
+  /// sits on the caller's stack, so that receive allocates nothing).
+  std::span<ProcessState* const> watch;
   CommContext* revoke_ctx = nullptr;
   const std::atomic<std::uint64_t>* interrupt = nullptr;
   std::uint64_t interrupt_expect = 0;
@@ -117,7 +120,7 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
   const CostModel& cm = ps.rt->cost();
   const bool det = detector::enabled(ps);
   const std::atomic<std::uint64_t>* membership = &ps.rt->membership_epoch();
-  std::unique_lock<std::mutex> lock(ps.mu);
+  std::unique_lock<SpinSleepLock> lock(ps.mu);
   ParkedScope parked(ps, spec.watch.size() == 1 ? spec.watch.front() : nullptr,
                      spec.watch.size() > 1 || spec.interrupt == membership ||
                          spec.interrupt2 == membership);
@@ -255,7 +258,8 @@ int ctrl_recv(ProcId src, std::uint64_t ctx, int tag, std::vector<std::byte>* ou
   spec.op = "ctrl_recv";
   spec.dbg_ctx = ctx;
   spec.dbg_tag = tag;
-  spec.watch.push_back(&rt().proc(src));
+  ProcessState* const sender = &rt().proc(src);
+  spec.watch = {&sender, 1};
   spec.revoke_ctx = opts.revoke_ctx;
   spec.interrupt = opts.interrupt;
   spec.interrupt_expect = opts.interrupt_expect;
@@ -277,8 +281,10 @@ int ctrl_recv_any(const std::vector<ProcId>& watch, std::uint64_t ctx, int tag,
   spec.op = "ctrl_recv_any";
   spec.dbg_ctx = ctx;
   spec.dbg_tag = tag;
-  spec.watch.reserve(watch.size());
-  for (ProcId p : watch) spec.watch.push_back(&rt().proc(p));
+  std::vector<ProcessState*> senders;
+  senders.reserve(watch.size());
+  for (ProcId p : watch) senders.push_back(&rt().proc(p));
+  spec.watch = senders;
   spec.revoke_ctx = opts.revoke_ctx;
   spec.interrupt = opts.interrupt;
   spec.interrupt_expect = opts.interrupt_expect;
@@ -364,13 +370,18 @@ int recv_bytes(std::vector<std::byte>* out, int src, int tag, const Comm& c, Sta
   spec.dbg_ctx = c.context()->id;
   spec.dbg_tag = tag;
   spec.revoke_ctx = c.context();
+  ProcessState* sender = nullptr;
+  std::vector<ProcessState*> any_sender;
   if (src != kAnySource) {
-    spec.watch.push_back(&detail::rt().proc(senders.pids[static_cast<size_t>(src)]));
+    sender = &detail::rt().proc(senders.pids[static_cast<size_t>(src)]);
+    spec.watch = {&sender, 1};
   } else {
     // A wildcard receive is hopeless only once *all* potential senders are
     // dead; ULFM additionally raises an error as soon as any failure exists,
     // but the paper's protocols never block a wildcard on a failed comm.
-    for (ProcId p : senders.pids) spec.watch.push_back(&detail::rt().proc(p));
+    any_sender.reserve(senders.pids.size());
+    for (ProcId p : senders.pids) any_sender.push_back(&detail::rt().proc(p));
+    spec.watch = any_sender;
   }
   Message msg;
   const int rc = detail::wait_for_message(spec, &msg);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cxxabi.h>
 #include <exception>
@@ -36,6 +37,14 @@
 #ifdef FTR_FIBER_TSAN
 #include <sanitizer/tsan_interface.h>
 #endif
+#if defined(__x86_64__)
+/// The register switch defined below (see switch_stack).
+extern "C" void ftr_switch_stack(void** save, void* load);
+#else
+#include <ucontext.h>
+
+#include <new>
+#endif
 
 namespace ftmpi {
 
@@ -43,9 +52,9 @@ namespace ftmpi {
 /// back to, and what the fiber asked for when it did.
 struct Worker {
   enum class Handoff { kPark, kYield, kExit };
-  ucontext_t ctx{};
+  void* sp = nullptr;  ///< the worker's saved stack pointer while a fiber runs
   Handoff handoff = Handoff::kYield;
-  std::mutex* release = nullptr;  ///< kPark: the rank's mu, unlocked after the switch
+  SpinSleepLock* release = nullptr;  ///< kPark: the rank's mu, unlocked after the switch
   void* asan_fake_stack = nullptr;
   const void* stack_bottom = nullptr;  ///< the worker thread's own stack (ASan)
   std::size_t stack_size = 0;
@@ -57,7 +66,7 @@ namespace {
 FTR_PER_RANK("the worker's current fiber: the scheduler sets it on every switch, and ranks read it only through Runtime::current()")
 thread_local ProcessState* tls_proc = nullptr;
 
-/// Usable stack per fiber, below one guard page: five times the deepest
+/// Usable stack per fiber, above one guard page: five times the deepest
 /// stack the test suite reaches in the Debug ASan build (24 KiB; 16 KiB
 /// optimised).  Pages are committed only when touched, so the margin costs
 /// address space, not memory.
@@ -67,11 +76,86 @@ constexpr std::size_t kStackBytes = std::size_t{128} << 10;
 /// 20-50 us of pause instructions.
 constexpr int kSpinPolls = 1000;
 
-void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
+// A switch is one call of switch_stack(&save, load): it saves the caller's
+// context, stores where to `save`, and resumes the context saved at
+// `load`, which returns from its own switch_stack call (or, the first
+// time, enters the function prepare_stack set up).  No signal mask is
+// saved: nothing in the runtime changes one per rank.
+#if defined(__x86_64__)
+// The System V ABI's callee-saved state: rbx, rbp, r12-r15, the control
+// bits of MXCSR and the x87 control word, pushed on the switching stack.
+// A rank that changes its rounding mode keeps it, and no other rank sees it.
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl ftr_switch_stack
+  .hidden ftr_switch_stack
+  .type ftr_switch_stack, @function
+ftr_switch_stack:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size ftr_switch_stack, .-ftr_switch_stack
+  .popsection
+)");
+
+void switch_stack(void** save, void* load) { ftr_switch_stack(save, load); }
+
+/// The stack pointer of a fresh stack [lo, lo + bytes) whose first switch
+/// enters `entry` as a call would: 16-byte aligned below a null return
+/// address, with zeroed registers (rbp 0 ends a frame-pointer walk there),
+/// MXCSR at its power-on 0x1F80 and the x87 control word at 0x37F.
+void* prepare_stack(void* lo, std::size_t bytes, void (*entry)()) {
+  const std::uintptr_t top = (reinterpret_cast<std::uintptr_t>(lo) + bytes) & ~std::uintptr_t{15};
+  // From the saved stack pointer up: MXCSR and control word, r15, r14,
+  // r13, r12, rbx, rbp, the address `ret` jumps to, entry's return address.
+  auto* frame = reinterpret_cast<std::uint64_t*>(top) - 9;
+  frame[0] = 0x1F80U | (std::uint64_t{0x37F} << 32);
+  for (int i = 1; i <= 6; ++i) frame[i] = 0;
+  frame[7] = reinterpret_cast<std::uintptr_t>(entry);
+  frame[8] = 0;
+  return frame;
 }
+#else
+// Elsewhere glibc's ucontext switches.  A saved context is the ucontext_t
+// in its own switch_stack frame, or, before the first switch, one built at
+// the top of the fiber's stack.
+void switch_stack(void** save, void* load) {
+  ucontext_t here;
+  *save = &here;
+  swapcontext(&here, static_cast<ucontext_t*>(load));
+}
+
+void* prepare_stack(void* lo, std::size_t bytes, void (*entry)()) {
+  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(lo);
+  const std::uintptr_t at = (base + bytes - sizeof(ucontext_t)) & ~std::uintptr_t{63};
+  auto* uc = new (reinterpret_cast<void*>(at)) ucontext_t{};
+  getcontext(uc);
+  uc->uc_stack.ss_sp = lo;
+  uc->uc_stack.ss_size = at - base;
+  uc->uc_link = nullptr;
+  makecontext(uc, entry, 0);
+  return uc;
+}
+#endif
 
 /// The C++ runtime's per-thread exception state (libstdc++ and libc++abi
 /// share this layout).  A fiber that parks while unwinding or inside a
@@ -88,7 +172,7 @@ EhGlobals& eh_globals() {
 /// Switch the calling fiber back to its worker, which then carries out
 /// `handoff`.  Returns when a worker resumes the fiber, which need not be
 /// the same one; never returns for kExit.
-void switch_to_worker(Fiber& f, Worker::Handoff handoff, std::mutex* release) {
+void switch_to_worker(Fiber& f, Worker::Handoff handoff, SpinSleepLock* release) {
   Worker& w = *f.worker;
   w.handoff = handoff;
   w.release = release;
@@ -104,7 +188,7 @@ void switch_to_worker(Fiber& f, Worker::Handoff handoff, std::mutex* release) {
   __sanitizer_start_switch_fiber(handoff == Worker::Handoff::kExit ? nullptr : &f.asan_fake_stack,
                                  w.stack_bottom, w.stack_size);
 #endif
-  swapcontext(&f.ctx, &w.ctx);
+  switch_stack(&f.sp, w.sp);
 #ifdef FTR_FIBER_ASAN
   Worker& now = *f.worker;
   __sanitizer_finish_switch_fiber(f.asan_fake_stack, &now.stack_bottom, &now.stack_size);
@@ -129,8 +213,8 @@ Fiber::Fiber() {
     map = nullptr;
     throw std::system_error(err, std::generic_category(), "ftmpi: fiber guard page");
   }
-  ctx.uc_stack.ss_sp = static_cast<char*>(map) + page;
-  ctx.uc_stack.ss_size = kStackBytes;
+  stack_lo = static_cast<char*>(map) + page;
+  stack_bytes = kStackBytes;
 }
 
 Fiber::~Fiber() {
@@ -160,7 +244,7 @@ std::unique_ptr<Fiber> FiberPool::take() {
   // The previous owner's frames are dead: clear what the sanitizers still
   // hold of them (its last frames' redzones, its TSan fiber).
 #ifdef FTR_FIBER_ASAN
-  ASAN_UNPOISON_MEMORY_REGION(f->ctx.uc_stack.ss_sp, f->ctx.uc_stack.ss_size);
+  ASAN_UNPOISON_MEMORY_REGION(f->stack_lo, f->stack_bytes);
 #endif
 #ifdef FTR_FIBER_TSAN
   __tsan_destroy_fiber(f->tsan_fiber);
@@ -211,7 +295,7 @@ Runtime::~Runtime() {
     done_cv_.wait(lock, [this] { return active_ == 0; });
   }
   {
-    std::lock_guard<std::mutex> lock(ready_mu_);
+    std::lock_guard<SpinSleepLock> lock(ready_mu_);
     stopping_ = true;
   }
   ready_cv_.notify_all();
@@ -365,12 +449,7 @@ void Runtime::release_unstarted(ProcId pid) {
 void Runtime::start_process(ProcId pid) {
   ProcessState* ps = &proc(pid);
   std::unique_ptr<Fiber> f = FiberPool::shared().take();
-  // getcontext and makecontext keep the stack the fiber was given.
-  const stack_t stack = f->ctx.uc_stack;
-  getcontext(&f->ctx);
-  f->ctx.uc_stack = stack;
-  f->ctx.uc_link = nullptr;
-  makecontext(&f->ctx, &Runtime::fiber_entry, 0);
+  f->sp = prepare_stack(f->stack_lo, f->stack_bytes, &Runtime::fiber_entry);
 #ifdef FTR_FIBER_TSAN
   f->tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -395,6 +474,7 @@ void Runtime::fiber_entry() {
 #endif
   ps->rt->fiber_main(ps);
   switch_to_worker(*ps->fiber, Worker::Handoff::kExit, nullptr);
+  __builtin_unreachable();  // the worker pools an exited fiber, never resumes it
 }
 
 void Runtime::fiber_main(ProcessState* ps) {
@@ -431,7 +511,7 @@ void Runtime::worker_main() {
 #ifdef FTR_FIBER_TSAN
   w.tsan_fiber = __tsan_get_current_fiber();
 #endif
-  std::unique_lock<std::mutex> lock(ready_mu_);
+  std::unique_lock<SpinSleepLock> lock(ready_mu_);
   while (!stopping_ || !ready_.empty()) {
     if (ready_.empty()) {
       // Spin briefly before sleeping: a rank woken a moment from now (the
@@ -471,13 +551,12 @@ void Runtime::run_slice(Worker& w, ProcessState& ps) {
   EhGlobals& eh = eh_globals();
   eh = {f.eh_caught, f.eh_uncaught};
 #ifdef FTR_FIBER_ASAN
-  __sanitizer_start_switch_fiber(&w.asan_fake_stack, f.ctx.uc_stack.ss_sp,
-                                 f.ctx.uc_stack.ss_size);
+  __sanitizer_start_switch_fiber(&w.asan_fake_stack, f.stack_lo, f.stack_bytes);
 #endif
 #ifdef FTR_FIBER_TSAN
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
 #endif
-  swapcontext(&w.ctx, &f.ctx);
+  switch_stack(&w.sp, f.sp);
 #ifdef FTR_FIBER_ASAN
   __sanitizer_finish_switch_fiber(w.asan_fake_stack, nullptr, nullptr);
 #endif
@@ -516,7 +595,7 @@ void Runtime::run_slice(Worker& w, ProcessState& ps) {
 void Runtime::make_ready(ProcessState* ps) {
   bool wake = false;
   {
-    std::lock_guard<std::mutex> lock(ready_mu_);
+    std::lock_guard<SpinSleepLock> lock(ready_mu_);
     ready_.push_back(ps);
     ready_size_.store(ready_.size(), std::memory_order_relaxed);
     // A spinning worker takes it without an OS wake-up.
@@ -531,12 +610,12 @@ void Runtime::wake_locked(ProcessState& ps) {
   make_ready(&ps);
 }
 
-FTR_YIELD void Runtime::park(std::unique_lock<std::mutex>& lock) {
+FTR_YIELD void Runtime::park(std::unique_lock<SpinSleepLock>& lock) {
   ProcessState& ps = *current();
   ps.asleep = true;
-  std::mutex* mu = lock.release();
+  SpinSleepLock* mu = lock.release();
   switch_to_worker(*ps.fiber, Worker::Handoff::kPark, mu);
-  lock = std::unique_lock<std::mutex>(*mu);
+  lock = std::unique_lock<SpinSleepLock>(*mu);
 }
 
 FTR_YIELD void Runtime::yield_rank() {
@@ -722,7 +801,7 @@ void Runtime::deliver(ProcId dst, Message msg) {
   FTR_VTSAN_STAMP(msg);
   ProcessState* ps = procs_.find(dst);
   if (ps == nullptr) return;
-  std::lock_guard<std::mutex> lock(ps->mu);
+  std::lock_guard<SpinSleepLock> lock(ps->mu);
   if (ps->dead.load()) return;  // the network cannot deliver to a crashed process
   if (msg.ctrl && (msg.tag == tags::kHeartbeat || msg.tag == tags::kGossip)) {
     ps->det_pending.fetch_add(1, std::memory_order_relaxed);
@@ -741,7 +820,7 @@ void Runtime::notify_all_procs() {
     // Taking the waiter's lock orders this wake-up after its predicate
     // check: the waiter either has not checked yet, and will see the new
     // state, or is asleep and is queued here.
-    std::lock_guard<std::mutex> lock(ps.mu);
+    std::lock_guard<SpinSleepLock> lock(ps.mu);
     FTR_DLSAN_WAKE(this, ps.pid);
     wake_locked(ps);
   });
@@ -757,14 +836,14 @@ Runtime::ExitWatch Runtime::watch_exits(ProcessState& waiter, ProcessState* peer
   } else {
     return w;  // no exit can end this wait
   }
-  std::lock_guard<std::mutex> lock(*w.mu);
+  std::lock_guard<SpinSleepLock> lock(*w.mu);
   w.list->add(waiter);
   return w;
 }
 
 void Runtime::unwatch_exits(ProcessState& waiter, const ExitWatch& w) {
   if (w.list == nullptr) return;
-  std::lock_guard<std::mutex> lock(*w.mu);
+  std::lock_guard<SpinSleepLock> lock(*w.mu);
   w.list->remove(waiter);
 }
 
@@ -776,16 +855,16 @@ void Runtime::notify_exit(ProcessState& ps) {
   // a waiter takes the list's mutex under its own mu.
   std::vector<ProcessState*> woken;
   {
-    std::lock_guard<std::mutex> lock(ps.exit_mu);
+    std::lock_guard<SpinSleepLock> lock(ps.exit_mu);
     woken = ps.exit_waiters.waits();
   }
   {
-    std::lock_guard<std::mutex> lock(any_exit_mu_);
+    std::lock_guard<SpinSleepLock> lock(any_exit_mu_);
     const std::vector<ProcessState*>& any = any_exit_waits_.waits();
     woken.insert(woken.end(), any.begin(), any.end());
   }
   for (ProcessState* w : woken) {
-    std::lock_guard<std::mutex> lock(w->mu);
+    std::lock_guard<SpinSleepLock> lock(w->mu);
     FTR_DLSAN_WAKE(this, w->pid);
     wake_locked(*w);
   }
@@ -793,16 +872,22 @@ void Runtime::notify_exit(ProcessState& ps) {
 
 Runtime::Stats Runtime::stats() const {
   Stats s;
-  s.messages = msg_count_.load();
-  s.bytes = msg_bytes_.load();
-  s.cross_host = msg_cross_host_.load();
+  procs_.for_each([&](const ProcessState& ps) {
+    s.messages += ps.sent_msgs.load(std::memory_order_relaxed);
+    s.bytes += ps.sent_bytes.load(std::memory_order_relaxed);
+    s.cross_host += ps.sent_cross_host.load(std::memory_order_relaxed);
+  });
   return s;
 }
 
-void Runtime::record_message(std::size_t bytes, bool cross_host) {
-  msg_count_.fetch_add(1, std::memory_order_relaxed);
-  msg_bytes_.fetch_add(static_cast<long long>(bytes), std::memory_order_relaxed);
-  if (cross_host) msg_cross_host_.fetch_add(1, std::memory_order_relaxed);
+void Runtime::record_message(ProcessState& sender, std::size_t bytes, bool cross_host) {
+  // One writer: a relaxed load and store, not a locked read-modify-write.
+  const auto bump = [](std::atomic<long long>& c, long long by) {
+    c.store(c.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
+  };
+  bump(sender.sent_msgs, 1);
+  bump(sender.sent_bytes, static_cast<long long>(bytes));
+  if (cross_host) bump(sender.sent_cross_host, 1);
 }
 
 void Runtime::put(const std::string& key, double value) {
@@ -837,7 +922,7 @@ void Runtime::clear_results() {
 
 void Runtime::dump_state() const {
   procs_.for_each([](ProcessState& ps) {
-    std::lock_guard<std::mutex> lock(ps.mu);
+    std::lock_guard<SpinSleepLock> lock(ps.mu);
     FTR_ERROR("  pid=%d rank=%d host=%d dead=%d finished=%d mailbox=%zu vclock=%.6f",
               ps.pid, ps.world_rank, ps.host, ps.dead.load() ? 1 : 0,
               ps.finished.load() ? 1 : 0, ps.mailbox.size(), ps.vclock);

@@ -5,9 +5,12 @@
 // virtual clock.  The fibers run on one worker thread per core, which the
 // Runtime owns for its whole lifetime: a rank that waits parks its fiber
 // and frees the worker for the next runnable rank, so a message to a
-// waiting rank costs a queue push, not an OS wake-up.  The Runtime also
-// owns the process table, the hosts-and-slots
-// placement model (the paper's hostfile with SLOTS=12 per node), the
+// waiting rank costs a queue push, not an OS wake-up.  A switch between a
+// fiber and its worker saves and loads only the callee-saved registers and
+// the floating-point control state, with no system call, and the locks
+// that a hand-off takes poll before they sleep (SpinSleepLock).  The
+// Runtime also owns the process table, the hosts-and-slots placement model
+// (the paper's hostfile with SLOTS=12 per node), the
 // communicator-context registry, the failure epoch used to wake blocked
 // operations when a process is killed, and a results blackboard through
 // which applications report measurements to the bench harnesses.
@@ -32,12 +35,11 @@
 #include <thread>
 #include <vector>
 
-#include <ucontext.h>
-
 #include "common/annotations.hpp"
 #include "ftmpi/comm.hpp"
 #include "ftmpi/cost_model.hpp"
 #include "ftmpi/detector.hpp"
+#include "ftmpi/spin_sleep_lock.hpp"
 #include "ftmpi/trace.hpp"
 #include "ftmpi/types.hpp"
 
@@ -67,18 +69,21 @@ struct Worker;
 
 /// A process's execution context: its guard-paged stack (mapped lazily, so
 /// only the pages it touches are committed) and, while it is switched out,
-/// its saved registers.  The scheduler owns it; when the process exits, the
-/// fiber goes to the FiberPool for the next process to start.
+/// the stack pointer under which its registers are saved.  The scheduler
+/// owns it; when the process exits, the fiber goes to the FiberPool for the
+/// next process to start.
 struct Fiber {
-  /// Map a fresh stack below its guard page.
+  /// Map a fresh stack above its guard page.
   Fiber();
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
   ~Fiber();
 
-  ucontext_t ctx{};
+  void* sp = nullptr;   ///< saved stack pointer while switched out
   void* map = nullptr;  ///< the mapping: guard page, then the stack
   std::size_t map_bytes = 0;
+  void* stack_lo = nullptr;  ///< lowest byte of the stack, just above the guard page
+  std::size_t stack_bytes = 0;
   Worker* worker = nullptr;  ///< the worker it runs on (or last ran on)
   int slice_charges = 0;     ///< charges of virtual time since it was resumed
   /// The C++ runtime's per-thread exception state (caught-exception chain,
@@ -132,7 +137,7 @@ struct ProcessState {
   std::vector<std::string> argv;
   std::unique_ptr<Fiber> fiber;
 
-  std::mutex mu;
+  SpinSleepLock mu;
   /// True from the moment the fiber parks (Runtime::park) until a wake-up
   /// claims it and puts it on the ready queue.  Guarded by mu.
   bool asleep = false;
@@ -144,6 +149,12 @@ struct ProcessState {
   std::atomic<bool> started{false};
 
   double vclock = 0.0;
+  /// Messages, payload bytes and cross-host messages this process sent
+  /// (Runtime::record_message).  Only the owning fiber writes them, so an
+  /// update is a load and a store; Runtime::stats() sums them.
+  std::atomic<long long> sent_msgs{0};
+  std::atomic<long long> sent_bytes{0};
+  std::atomic<long long> sent_cross_host{0};
 
   /// Number of detector-channel messages (heartbeats/gossip) queued in the
   /// mailbox; bumped by deliver() under mu, reset by detector::drain().
@@ -158,7 +169,7 @@ struct ProcessState {
   /// The parked waits that this process's exit can end: receives and
   /// probes that name it as their one sender.  Guarded by exit_mu, a leaf
   /// lock (a waiter takes it under its own mu).
-  std::mutex exit_mu;
+  SpinSleepLock exit_mu;
   WaitList exit_waiters;
   /// This rank's slot in the WaitList its own parked wait is registered in
   /// (a rank waits on one thing at a time).  Guarded by that list's mutex.
@@ -266,8 +277,10 @@ class Runtime {
     long long bytes = 0;      ///< payload bytes carried
     long long cross_host = 0; ///< messages that crossed a host boundary
   };
+  /// The sum of every process's send counters; exact once run() returns.
   [[nodiscard]] Stats stats() const;
-  void record_message(std::size_t bytes, bool cross_host);
+  /// Count a message that `sender`'s own fiber sends.
+  static void record_message(ProcessState& sender, std::size_t bytes, bool cross_host);
 
   /// Event trace (off by default; trace().enable() turns it on).
   [[nodiscard]] Trace& trace() { return trace_; }
@@ -322,7 +335,7 @@ class Runtime {
 
   /// Where a parked wait is registered for the exits that can end it.
   struct ExitWatch {
-    std::mutex* mu = nullptr;  ///< guards `list`
+    SpinSleepLock* mu = nullptr;  ///< guards `list`
     WaitList* list = nullptr;
   };
   /// Register `waiter`'s parked wait for `peer`'s exit, or for every exit
@@ -338,7 +351,7 @@ class Runtime {
   /// predicates; the worker releases it only after the fiber has switched
   /// out, so a waker that takes mu and finds the rank asleep can queue it
   /// at once.  mu is held again on return.
-  FTR_YIELD static void park(std::unique_lock<std::mutex>& lock);
+  FTR_YIELD static void park(std::unique_lock<SpinSleepLock>& lock);
   /// Requeue the calling rank behind every runnable rank (ftmpi::yield()).
   FTR_YIELD static void yield_rank();
   /// Called by every charge of virtual time: a rank that has charged
@@ -449,8 +462,8 @@ class Runtime {
   std::condition_variable done_cv_;
   // The scheduler: one FIFO ready queue shared by the workers.  ready_mu_
   // nests inside ProcessState::mu (a wake-up queues under the rank's lock).
-  std::mutex ready_mu_;
-  std::condition_variable ready_cv_;
+  SpinSleepLock ready_mu_;
+  std::condition_variable_any ready_cv_;
   std::deque<ProcessState*> ready_;
   std::atomic<std::size_t> ready_size_{0};  ///< ready_.size(), for spinning workers
   int idle_workers_ = 0;      ///< asleep on ready_cv_
@@ -463,7 +476,7 @@ class Runtime {
   PublishedTable<ProcId> failures_;
   /// Parked waits that any exit can end (watch_exits with any_exit).
   /// Guarded by any_exit_mu_, a leaf lock.
-  std::mutex any_exit_mu_;
+  SpinSleepLock any_exit_mu_;
   WaitList any_exit_waits_;
   /// roster(): bumped after every start and exit; the cached roster and the
   /// version it was built at are guarded by roster_mu_.
@@ -480,9 +493,6 @@ class Runtime {
   std::atomic<std::uint64_t> failure_epoch_{0};
   std::atomic<std::uint64_t> membership_epoch_{0};
   std::atomic<int> killed_{0};
-  std::atomic<long long> msg_count_{0};
-  std::atomic<long long> msg_bytes_{0};
-  std::atomic<long long> msg_cross_host_{0};
 
   mutable std::mutex ctx_mu_;
   std::map<std::uint64_t, std::shared_ptr<CommContext>> contexts_;

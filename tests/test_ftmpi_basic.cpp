@@ -5,6 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <mutex>
 #include <numeric>
@@ -14,8 +18,13 @@
 #include <thread>
 #include <vector>
 
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
+
 #include "ftmpi/api.hpp"
 #include "ftmpi/runtime.hpp"
+#include "ftmpi/spin_sleep_lock.hpp"
 
 using namespace ftmpi;
 
@@ -36,6 +45,35 @@ int deep(int n) {
   pad[0] = static_cast<char>(n);
   return n == 0 ? pad[0] : deep(n - 1) + pad[0];
 }
+
+/// True when a 16- and a 64-byte-aligned local of a fresh frame are
+/// aligned: a stack that a switch entered off the ABI's call alignment
+/// misplaces the 16-byte one, which the compiler does not realign.
+[[gnu::noinline]] bool frame_locals_aligned() {
+  alignas(16) volatile char a16[16];
+  alignas(64) volatile char a64[64];
+  a16[0] = 1;
+  a64[0] = 1;
+  return reinterpret_cast<std::uintptr_t>(&a16[0]) % 16 == 0 &&
+         reinterpret_cast<std::uintptr_t>(&a64[0]) % 64 == 0;
+}
+
+/// The floating-point control state a rank can set: the rounding mode and,
+/// on x86-64, MXCSR's control bits (rounding, flush-to-zero, masks).
+struct FpControl {
+  int round = FE_TONEAREST;
+  unsigned mxcsr = 0x1F80;  ///< MXCSR without its six status flags
+
+  static FpControl now() {
+    FpControl c;
+    c.round = std::fegetround();
+#if defined(__x86_64__)
+    c.mxcsr = _mm_getcsr() & ~0x3FU;
+#endif
+    return c;
+  }
+  bool operator==(const FpControl&) const = default;
+};
 
 /// The process's OS thread count (the Threads: line of /proc/self/status).
 int os_threads() {
@@ -445,6 +483,123 @@ TEST(FtmpiBasic, SpawnedChildrenRunOnTheWorkers) {
   EXPECT_LE(static_cast<int>(ids.size()), cores());
   EXPECT_GT(child_threads.load(), 0);
   EXPECT_LE(child_threads.load(), cores() + 2);
+}
+
+// A fiber switch saves and restores the floating-point control state with
+// the registers: a rank that sets rounding toward zero, or flush-to-zero,
+// keeps it across every park on whichever worker resumes it, and no other
+// rank sees it.  Each pair of ranks plays 1000 rounds of ping-pong, so the
+// ranks park and resume on the workers about a thousand times each; every
+// round checks the control registers and a division whose result the mode
+// decides.  A second run on the pooled fibers starts every rank at the
+// default again.
+TEST(FiberSwitch, EachRankKeepsItsFloatingPointControlAcrossParks) {
+  constexpr int kWorld = 8;
+  constexpr int kRounds = 1000;
+  const FpControl nearest;
+  FpControl toward_zero;
+  toward_zero.round = FE_TOWARDZERO;
+#if defined(__x86_64__)
+  toward_zero.mxcsr = 0x1F80 | 0x6000;  // RC = round toward zero
+  FpControl flush_to_zero;
+  flush_to_zero.mxcsr = 0x1F80 | 0x8000;  // FTZ
+#endif
+  Runtime rt(small_opts());
+  std::atomic<int> bad{0};
+  std::atomic<int> rounds{0};
+  rt.register_app("main", [&](const std::vector<std::string>& argv) {
+    Comm& w = world();
+    const bool set_modes = argv.empty();
+    FpControl mine = nearest;
+    if (set_modes && w.rank() == 0) {
+      ASSERT_EQ(std::fesetround(FE_TOWARDZERO), 0);
+      mine = toward_zero;
+    }
+#if defined(__x86_64__)
+    if (set_modes && w.rank() == 1) {
+      _mm_setcsr(_mm_getcsr() | 0x8000);
+      mine = flush_to_zero;
+    }
+#endif
+    const int peer = w.rank() ^ 1;
+    volatile double one = 1.0;
+    volatile double ten = 10.0;
+    volatile double tiny = 1e-300;
+    for (int r = 0; r < kRounds; ++r) {
+      int token = r;
+      if (w.rank() % 2 == 0) {
+        ASSERT_EQ(send(&token, 1, peer, 0, w), kSuccess);
+        ASSERT_EQ(recv(&token, 1, peer, 0, w), kSuccess);
+      } else {
+        ASSERT_EQ(recv(&token, 1, peer, 0, w), kSuccess);
+        ASSERT_EQ(send(&token, 1, peer, 0, w), kSuccess);
+      }
+      ftmpi::yield();
+      if (!(FpControl::now() == mine)) ++bad;
+      // 1/10 rounds up to nearest and down toward zero; 1e-310 is subnormal.
+      const double tenth = one / ten;
+      if (tenth != (mine.round == FE_TOWARDZERO ? std::nextafter(0.1, 0.0) : 0.1)) ++bad;
+      const bool flushed = tiny * 1e-10 == 0.0;
+      if (flushed != ((mine.mxcsr & 0x8000U) != 0)) ++bad;
+      ++rounds;
+    }
+  });
+  EXPECT_EQ(rt.run("main", kWorld), 0);
+  EXPECT_EQ(rounds.load(), kWorld * kRounds);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_TRUE(FpControl::now() == nearest) << "a rank's mode leaked to the driver thread";
+  rounds = 0;
+  EXPECT_EQ(rt.run("main", kWorld, {"defaults"}), 0);
+  EXPECT_EQ(rounds.load(), kWorld * kRounds);
+  EXPECT_EQ(bad.load(), 0);
+}
+
+// A fresh fiber enters its first frame as a call would, 16-byte aligned
+// below its return address, and so does a fiber taken from the pool.  The
+// first run's ranks start on fresh stacks (ctest runs each test in a
+// process of its own); the second run's start on the first run's pooled
+// stacks and on fresh ones.
+TEST(FiberSwitch, FreshAndPooledFibersEnterCallAligned) {
+  Runtime rt(small_opts());
+  std::atomic<int> aligned{0};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    if (frame_locals_aligned()) ++aligned;
+    ftmpi::yield();
+    if (frame_locals_aligned()) ++aligned;
+  });
+  const int first = 2 * cores();
+  EXPECT_EQ(rt.run("main", first), 0);
+  EXPECT_EQ(aligned.load(), 2 * first);
+  aligned = 0;
+  EXPECT_EQ(rt.run("main", 2 * first), 0);
+  EXPECT_EQ(aligned.load(), 4 * first);
+}
+
+// The runtime's lock keeps mutual exclusion on the contended path too.
+// Thread 0 now and then holds it for a millisecond, far longer than the
+// others poll, so they sleep on the lock word and its unlock wakes them.
+TEST(SpinSleepLock, MutualExclusionWhileAHolderSleeps) {
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 100000;
+  SpinSleepLock mu;
+  long long counter = 0;  // guarded by mu
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&mu, &counter, t] {
+      for (int i = 0; i < kIncrements; ++i) {
+        std::lock_guard<SpinSleepLock> lock(mu);
+        if (t == 0 && i % 1000 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ++counter;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(counter, static_cast<long long>(kThreads) * kIncrements);
+  mu.lock();
+  EXPECT_FALSE(mu.try_lock());
+  mu.unlock();
+  ASSERT_TRUE(mu.try_lock());
+  mu.unlock();
 }
 
 // A rank that overflows its fiber stack hits the guard page below it and

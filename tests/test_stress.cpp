@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/reconstruct.hpp"
@@ -48,6 +49,50 @@ TEST(Stats, CrossHostCountedSeparately) {
   const auto s = rt.stats();
   EXPECT_EQ(s.messages, 2);
   EXPECT_EQ(s.cross_host, 1);
+}
+
+// Every message is counted once, on its sender, and stats() sums them all:
+// the user sends the ranks count here, and each rank's heartbeats and
+// gossip, also those of the two ranks that kill themselves during the run
+// (each at a step of its own, so both kills land however the ranks
+// interleave).  One rank per host makes every message cross a host
+// boundary.
+TEST(Stats, EqualTheSumOfEverySendDetectorIncluded) {
+  constexpr int kWorld = 8;
+  constexpr int kSteps = 300;
+  static_assert(sizeof(detector::HeartbeatWire) == sizeof(detector::GossipWire));
+  constexpr long long kDetectorBytes = sizeof(detector::HeartbeatWire);
+  Runtime::Options o;
+  o.slots_per_host = 1;
+  o.real_time_limit_sec = 60.0;
+  Runtime rt(o);
+  std::atomic<long long> sent{0};
+  std::atomic<long long> sent_bytes{0};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    const int me = w.rank();
+    const std::vector<double> payload(static_cast<std::size_t>(me + 1), 1.0);
+    for (int step = 0; step < kSteps; ++step) {
+      if ((me == 3 && step == 50) || (me == 5 && step == 120)) abort_self();
+      const int to = (me + 1 + step % (kWorld - 1)) % kWorld;
+      if (send(payload.data(), me + 1, to, 0, w) == kSuccess) {
+        ++sent;
+        sent_bytes += static_cast<long long>(payload.size() * sizeof(double));
+      }
+      advance(0.01);  // 3 virtual seconds in all: a heartbeat every 25 steps
+    }
+  });
+  EXPECT_EQ(rt.run("main", kWorld), 2);
+  long long detector_msgs = 0;
+  for (ProcId p = 0; p < rt.total_processes(); ++p) {
+    const detector::State& st = rt.proc(p).det;
+    detector_msgs += st.heartbeats_sent + st.gossip_sent;
+  }
+  EXPECT_GT(detector_msgs, 0);
+  const auto s = rt.stats();
+  EXPECT_EQ(s.messages, sent.load() + detector_msgs);
+  EXPECT_EQ(s.bytes, sent_bytes.load() + detector_msgs * kDetectorBytes);
+  EXPECT_EQ(s.cross_host, s.messages);
 }
 
 // Randomized shrink/agree invariants: for any failure subset (never rank 0),

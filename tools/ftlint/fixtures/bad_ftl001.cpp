@@ -24,4 +24,17 @@ int qualified_discard(ftmpi::Comm& world) {
   return rc;
 }
 
+// A conditional's else-branch is dropped only with the whole conditional;
+// a label's colon is no conditional.
+int conditional_discard(ftmpi::Comm& world, int rc) {
+  rc == 0 ? 0 : ftmpi::barrier(world);  // EXPECT: FTL001
+  const int out = rc == 0 ? 0 : ftmpi::barrier(world);  // assigned: no finding
+  switch (out) {
+    case 1: ftmpi::barrier(world);  // EXPECT: FTL001
+      break;
+    default: ftmpi::barrier(world);  // EXPECT: FTL001
+  }
+  return rc == 0 ? 0 : ftmpi::barrier(world);  // returned: no finding
+}
+
 }  // namespace

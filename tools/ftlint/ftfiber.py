@@ -20,7 +20,11 @@ stitched through the name-based call graph — and feeds the
           blocking primitive is a fiber deadlock (the suspended fiber keeps
           the lock; every rank sharing the worker thread stalls on it) —
           unless the guard is handed to the wait itself (the
-          `cv.wait(lock)` idiom).
+          `cv.wait(lock)` idiom).  A function marked FTR_LOCK_SLEEP (a
+          lock's contended path, which sleeps on its lock word while
+          another thread runs the critical section) may block: its
+          primitive is neither a finding nor what makes it may-yield.  A
+          call from it to a may-yield function still makes it may-yield.
   FTL009  thread affinity: every `thread_local` reachable from rank
           context must be registered in the per-rank-storage registry via
           FTR_PER_RANK("<migration note>") directly above/on the
@@ -206,9 +210,10 @@ class FiberModel:
         self.calls: dict[str, set[str]] = {}
         for fn, sf, b0, b1 in self.functions:
             callees = self.calls.setdefault(fn, set())
+            lock_sleep = fn in engine.lock_sleep_fns
             for i in range(b0, b1):
                 prim = _blocking_at(sf, i)
-                if prim is not None:
+                if prim is not None and not lock_sleep:
                     self.direct_block.setdefault(fn, prim)
                 callee = _call_at(sf, i)
                 if callee is not None and callee != fn:
@@ -436,6 +441,7 @@ class FiberModel:
         toks = sf.tokens
         tracker = _GuardTracker(sf)
         sanctioned = fn in self.engine.yield_fns
+        lock_sleep = fn in self.engine.lock_sleep_fns
         i = b0 + 1
         while i < b1:
             nxt_i = tracker.step(i)
@@ -449,8 +455,9 @@ class FiberModel:
                 held = tracker.held()
                 self.blocking.append({
                     "function": fn, "file": sf.path, "line": line,
-                    "primitive": prim, "sanctioned": sanctioned})
-                if not sanctioned:
+                    "primitive": prim, "sanctioned": sanctioned,
+                    "lock_sleep": lock_sleep})
+                if not sanctioned and not lock_sleep:
                     self._emit(
                         sf, "FTL008", line,
                         f"`{fn}` blocks on `{prim}` but is not a designated "
@@ -538,6 +545,7 @@ class FiberModel:
         return {
             "schema": 1,
             "yield_points": yield_points,
+            "lock_sleeps": sorted(self.engine.lock_sleep_fns),
             "blocking_sites": sorted(
                 self.blocking,
                 key=lambda b: (b["file"], b["line"])),

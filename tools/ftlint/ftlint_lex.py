@@ -24,7 +24,7 @@ RULE_IDS = ("FTL000", "FTL001", "FTL002", "FTL003", "FTL004", "FTL005",
 # Bumped whenever tokenization or any rule's semantics change; the SARIF
 # report names it as the tool version, so findings can be traced to the
 # engine that produced them.
-ENGINE_VERSION = "lex-4"
+ENGINE_VERSION = "lex-5"
 
 # Keywords/punctuation that precede a *discarded* expression-statement call:
 # the call begins a statement, so nothing consumes its value.
@@ -280,12 +280,28 @@ def _load_source(path: str) -> SourceFile:
         return SourceFile(path, fh.read())
 
 
-def _leftward(sf: SourceFile, s: int):
+def _is_comparison_eq(toks: list[Token], k: int) -> bool:
+    """True when the `=` at tokens[k] belongs to `==`, `!=`, `<=` or `>=`
+    (the tokenizer splits them), not to an assignment (`<<=`, `>>=`
+    included)."""
+    prev = toks[k - 1].text if k > 0 else None
+    nxt = toks[k + 1].text if k + 1 < len(toks) else None
+    if nxt == "=" or prev in ("=", "!"):
+        return True
+    if prev in ("<", ">"):
+        return not (k >= 2 and toks[k - 2].text == prev)
+    return False
+
+
+def _leftward(sf: SourceFile, s: int, skip_comparisons: bool = False):
     """Classify what sits to the left of the expression starting at token s.
 
     Walks back at bracket depth 0 and returns:
       'consumed'      an `=` (assignment or comparison) or `return` consumes
-                      the expression's value;
+                      the expression's value; with `skip_comparisons`, only
+                      an assignment's `=` does (from a conditional's
+                      else-branch, a comparison to the left belongs to the
+                      condition: `rc == 0 ? 0 : f(w)`);
       'stmt'          a statement boundary (`;`/`{`/`}`, or a case label) was
                       reached first — nothing to the left consumes it;
       ('paren', k)    token k is the unmatched `(` enclosing the expression
@@ -305,7 +321,9 @@ def _leftward(sf: SourceFile, s: int):
         elif depth == 0:
             if t in (";", "{", "}", "case", "default"):
                 return "stmt"
-            if t in ("return", "=", "co_return"):
+            if t in ("return", "co_return"):
+                return "consumed"
+            if t == "=" and not (skip_comparisons and _is_comparison_eq(toks, k)):
                 return "consumed"
         k -= 1
     return "stmt"
@@ -394,6 +412,9 @@ class Engine:
         self.nodiscard: set[str] = set()
         self.hot: set[str] = set()
         self.yield_fns: set[str] = set()
+        # FTR_LOCK_SLEEP: a lock's contended path, whose sleep on the lock
+        # word is no suspension point (FTL008 skips its blocking primitive).
+        self.lock_sleep_fns: set[str] = set()
         # name -> list of (source, body_start, body_end, def_line)
         self.defs: dict[str, list[tuple[SourceFile, int, int, int]]] = {}
         # `std::function`-typed variables/members (and variables of a
@@ -415,7 +436,7 @@ class Engine:
                     (sf, b0, b1, sf.tokens[name_idx].line))
 
     _MARKERS = {"FTR_NODISCARD": "nodiscard", "FTR_HOT": "hot",
-                "FTR_YIELD": "yield_fns"}
+                "FTR_YIELD": "yield_fns", "FTR_LOCK_SLEEP": "lock_sleep_fns"}
 
     @staticmethod
     def _match_angle(sf: SourceFile, open_idx: int) -> int:
@@ -527,6 +548,12 @@ class Engine:
                 nxt = toks[close + 1].text if close + 1 < len(toks) else None
                 line = toks[i].line
                 discarded = prev in _DISCARD_PREV and nxt == ";"
+                if discarded and prev == ":":
+                    # A label's colon (`case k: f(w);`) leads back to the
+                    # statement boundary; a conditional's else-branch
+                    # (`c ? x : f(w);`) is dropped only with the whole
+                    # conditional, not when it is returned or assigned.
+                    discarded = _leftward(sf, start, skip_comparisons=True) != "consumed"
                 void_cast = (start >= 3 and toks[start - 1].text == ")"
                              and toks[start - 2].text == "void"
                              and toks[start - 3].text == "(")
